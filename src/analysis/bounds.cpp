@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace rumr::analysis {
 
@@ -53,23 +54,29 @@ ScheduleQuality analyze_run(const platform::StarPlatform& platform,
   quality.optimality_gap = bound > 0.0 ? result.makespan / bound : 0.0;
 
   if (!result.trace.empty()) {
-    double total_idle = 0.0;
-    std::size_t active_workers = 0;
-    for (std::size_t w = 0; w < platform.size(); ++w) {
+    // Each worker's compute spans, folded in one pass over the trace (in
+    // recording order, as a per-worker scan would visit them).
+    struct Activity {
       double busy = 0.0;
       double first = std::numeric_limits<double>::infinity();
       double last = 0.0;
       bool any = false;
-      for (const sim::TraceSpan& span : result.trace.for_worker(w)) {
-        if (span.kind != sim::SpanKind::kCompute) continue;
-        busy += span.end - span.start;
-        first = std::min(first, span.start);
-        last = std::max(last, span.end);
-        any = true;
-      }
-      if (!any) continue;
+    };
+    std::vector<Activity> activity(platform.size());
+    for (const sim::TraceSpan& span : result.trace.spans()) {
+      if (span.kind != sim::SpanKind::kCompute || span.worker >= activity.size()) continue;
+      Activity& a = activity[span.worker];
+      a.busy += span.end - span.start;
+      a.first = std::min(a.first, span.start);
+      a.last = std::max(a.last, span.end);
+      a.any = true;
+    }
+    double total_idle = 0.0;
+    std::size_t active_workers = 0;
+    for (const Activity& a : activity) {
+      if (!a.any) continue;
       ++active_workers;
-      total_idle += (last - first) - busy;
+      total_idle += (a.last - a.first) - a.busy;
     }
     if (active_workers > 0) {
       quality.mean_interior_idle = total_idle / static_cast<double>(active_workers);

@@ -257,6 +257,20 @@ jobs::ServiceResult JobsRun::execute() const {
 
 // --- Race builder ------------------------------------------------------------
 
+namespace {
+
+/// A spec for a config::make_policy name. Its plan is just the inputs: each
+/// instance is built from them by name, as a single run would build it.
+sweep::AlgorithmSpec named_spec(const std::string& name) {
+  return {name, [name](const platform::StarPlatform& p, double w_total,
+                       double error) -> sweep::PreparedPolicy {
+            return [name, inputs = std::make_shared<const platform::StarPlatform>(p), w_total,
+                    error] { return config::make_policy(name, *inputs, w_total, error); };
+          }};
+}
+
+}  // namespace
+
 Race::Race()
     : platform_(sweep::SweepPlatform::from_config(sweep::PlatformConfig{})),
       policies_(sweep::racing_competitors()) {}
@@ -296,12 +310,7 @@ Race& Race::policies(const std::vector<std::string>& names) {
     } catch (const config::ConfigError& error) {
       policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
     }
-    sweep::AlgorithmSpec spec;
-    spec.name = name;
-    spec.make = [name](const platform::StarPlatform& p, double w_total, double error) {
-      return config::make_policy(name, p, w_total, error);
-    };
-    policies_.push_back(std::move(spec));
+    policies_.push_back(named_spec(name));
   }
   return *this;
 }
@@ -435,12 +444,7 @@ Sweep& Sweep::policies(const std::vector<std::string>& names) {
     } catch (const config::ConfigError& error) {
       policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
     }
-    sweep::AlgorithmSpec spec;
-    spec.name = name;
-    spec.make = [name](const platform::StarPlatform& p, double w_total, double error) {
-      return config::make_policy(name, p, w_total, error);
-    };
-    policies_.push_back(std::move(spec));
+    policies_.push_back(named_spec(name));
   }
   return *this;
 }

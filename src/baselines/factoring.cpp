@@ -25,50 +25,58 @@ double empty_round_overhead_work(const platform::StarPlatform& platform) {
   return empty_round_overhead_seconds(platform) * mean_speed;
 }
 
-namespace {
-
-std::vector<std::size_t> iota_workers(std::size_t n) {
+std::vector<std::size_t> all_workers(std::size_t n) {
   std::vector<std::size_t> workers(n);
   for (std::size_t i = 0; i < n; ++i) workers[i] = i;
   return workers;
 }
 
-}  // namespace
-
-SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
-                                           std::size_t num_workers)
-    : SelfSchedulingPolicy(std::move(name), std::move(chunks), iota_workers(num_workers)) {}
-
-SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
-                                           std::vector<std::size_t> workers)
-    : name_(std::move(name)), workers_(std::move(workers)) {
-  if (workers_.empty()) throw std::invalid_argument("self-scheduling needs >= 1 worker");
-  chunks_.reserve(chunks.size());
+std::shared_ptr<const SelfSchedulingPlan> make_self_scheduling_plan(
+    std::string name, const std::vector<double>& chunks, std::vector<std::size_t> workers) {
+  if (workers.empty()) throw std::invalid_argument("self-scheduling needs >= 1 worker");
+  auto plan = std::make_shared<SelfSchedulingPlan>();
+  plan->name = std::move(name);
+  plan->workers = std::move(workers);
+  plan->chunks.reserve(chunks.size());
   for (double c : chunks) {
     if (c > 0.0) {
-      chunks_.push_back(c);
-      total_work_ += c;
+      plan->chunks.push_back(c);
+      plan->total_work += c;
     }
   }
+  return plan;
 }
 
+SelfSchedulingPolicy::SelfSchedulingPolicy(std::shared_ptr<const SelfSchedulingPlan> plan)
+    : plan_(std::move(plan)) {}
+
+SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, const std::vector<double>& chunks,
+                                           std::size_t num_workers)
+    : SelfSchedulingPolicy(std::move(name), chunks, all_workers(num_workers)) {}
+
+SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, const std::vector<double>& chunks,
+                                           std::vector<std::size_t> workers)
+    : SelfSchedulingPolicy(make_self_scheduling_plan(std::move(name), chunks, std::move(workers))) {}
+
 std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::MasterContext& ctx) {
-  if (cursor_ >= chunks_.size()) return std::nullopt;
+  const std::vector<double>& chunks = plan_->chunks;
+  const std::vector<std::size_t>& workers = plan_->workers;
+  if (cursor_ >= chunks.size()) return std::nullopt;
 
   // Self-scheduling: feed only alive workers below the outstanding cap (1 =
   // pure request-driven, 2 = one-chunk prefetch). Among eligible workers
   // prefer the least loaded, then the one idle the longest (earliest
   // completion; subset order initially), matching a FIFO request queue.
-  std::size_t best = workers_.size();
+  std::size_t best = workers.size();
   std::size_t best_outstanding = 0;
   double best_completion = 0.0;
   bool any_alive_in_subset = false;
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    const sim::WorkerStatus& st = ctx.worker_status(workers_[k]);
+  for (std::size_t k = 0; k < workers.size(); ++k) {
+    const sim::WorkerStatus& st = ctx.worker_status(workers[k]);
     if (!st.alive) continue;
     any_alive_in_subset = true;
     if (st.outstanding >= max_outstanding_) continue;
-    const bool better = best == workers_.size() || st.outstanding < best_outstanding ||
+    const bool better = best == workers.size() || st.outstanding < best_outstanding ||
                         (st.outstanding == best_outstanding &&
                          st.last_completion < best_completion);
     if (better) {
@@ -77,7 +85,7 @@ std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::Mast
       best_completion = st.last_completion;
     }
   }
-  if (best < workers_.size()) return sim::Dispatch{workers_[best], chunks_[cursor_++]};
+  if (best < workers.size()) return sim::Dispatch{workers[best], chunks[cursor_++]};
   if (any_alive_in_subset) return std::nullopt;  // Everyone loaded: wait.
 
   // Fault fallback: the whole subset is fenced. Rather than strand the
@@ -93,7 +101,7 @@ std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::Mast
     }
   }
   if (fallback == ctx.num_workers()) return std::nullopt;  // All dead: wait/strand.
-  return sim::Dispatch{fallback, chunks_[cursor_++]};
+  return sim::Dispatch{fallback, chunks[cursor_++]};
 }
 
 std::vector<double> factoring_chunks(double w_total, std::size_t num_workers,
@@ -124,23 +132,31 @@ std::vector<double> factoring_chunks(double w_total, std::size_t num_workers,
   return chunks;
 }
 
+std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(double w_total,
+                                                          std::vector<std::size_t> workers,
+                                                          const FactoringOptions& options) {
+  const std::vector<double> chunks = factoring_chunks(w_total, workers.size(), options);
+  return make_self_scheduling_plan("Factoring", chunks, std::move(workers));
+}
+
 FactoringPolicy::FactoringPolicy(double w_total, std::size_t num_workers,
                                  const FactoringOptions& options)
-    : SelfSchedulingPolicy("Factoring", factoring_chunks(w_total, num_workers, options),
-                           num_workers) {}
+    : SelfSchedulingPolicy(prepare_factoring(w_total, all_workers(num_workers), options)) {}
 
 FactoringPolicy::FactoringPolicy(double w_total, std::vector<std::size_t> workers,
                                  const FactoringOptions& options)
-    // Note: `workers` is passed by value (not moved) because the first
-    // argument reads workers.size() and evaluation order is unspecified.
-    : SelfSchedulingPolicy("Factoring", factoring_chunks(w_total, workers.size(), options),
-                           workers) {}
+    : SelfSchedulingPolicy(prepare_factoring(w_total, std::move(workers), options)) {}
 
-std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(
+std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(
     const platform::StarPlatform& platform, double w_total) {
   FactoringOptions options;
   options.min_chunk = empty_round_overhead_work(platform);
-  return std::make_unique<FactoringPolicy>(w_total, platform.size(), options);
+  return prepare_factoring(w_total, all_workers(platform.size()), options);
+}
+
+std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(
+    const platform::StarPlatform& platform, double w_total) {
+  return std::make_unique<SelfSchedulingPolicy>(prepare_factoring(platform, w_total));
 }
 
 }  // namespace rumr::baselines

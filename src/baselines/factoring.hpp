@@ -37,26 +37,50 @@ namespace rumr::baselines {
 /// worker speed, so it is commensurable with chunk sizes.
 [[nodiscard]] double empty_round_overhead_work(const platform::StarPlatform& platform);
 
+/// The immutable half of a self-scheduled run: the chunk-size queue and the
+/// workers it feeds. One plan serves any number of runs, concurrently.
+struct SelfSchedulingPlan {
+  std::string name;
+  /// Positive chunk sizes, in dispatch order.
+  std::vector<double> chunks;
+  /// Platform indices of the workers fed.
+  std::vector<std::size_t> workers;
+  double total_work = 0.0;
+};
+
+/// Builds a plan feeding `chunks` to `workers` (platform indices). Zero-sized
+/// chunks are dropped; throws std::invalid_argument for an empty worker set.
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> make_self_scheduling_plan(
+    std::string name, const std::vector<double>& chunks, std::vector<std::size_t> workers);
+
+/// Workers 0..n-1.
+[[nodiscard]] std::vector<std::size_t> all_workers(std::size_t n);
+
 /// Base for policies that dispatch a precomputed queue of chunk sizes
 /// greedily to idle workers (pure self-scheduling: a worker is fed only when
-/// it has no outstanding chunk).
+/// it has no outstanding chunk). An instance is a cursor over a plan.
 class SelfSchedulingPolicy : public sim::SchedulerPolicy {
  public:
+  explicit SelfSchedulingPolicy(std::shared_ptr<const SelfSchedulingPlan> plan);
+
   /// Feeds chunks to workers 0..num_workers-1.
-  SelfSchedulingPolicy(std::string name, std::vector<double> chunks, std::size_t num_workers);
+  SelfSchedulingPolicy(std::string name, const std::vector<double>& chunks,
+                       std::size_t num_workers);
 
   /// Feeds chunks to an explicit worker subset (platform indices). Used by
   /// RUMR so phase 2 stays on the workers phase 1 selected.
-  SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
+  SelfSchedulingPolicy(std::string name, const std::vector<double>& chunks,
                        std::vector<std::size_t> workers);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return plan_->name; }
   std::optional<sim::Dispatch> next_dispatch(const sim::MasterContext& ctx) override;
-  [[nodiscard]] bool finished() const override { return cursor_ >= chunks_.size(); }
-  [[nodiscard]] double total_work() const override { return total_work_; }
+  [[nodiscard]] bool finished() const override { return cursor_ >= plan_->chunks.size(); }
+  [[nodiscard]] double total_work() const override { return plan_->total_work; }
 
   /// The precomputed chunk-size sequence, for inspection/testing.
-  [[nodiscard]] const std::vector<double>& chunk_sequence() const noexcept { return chunks_; }
+  [[nodiscard]] const std::vector<double>& chunk_sequence() const noexcept {
+    return plan_->chunks;
+  }
 
   /// How many chunks a worker may have outstanding before it stops being fed.
   /// 1 (default) is pure request-driven self-scheduling: a worker gets its
@@ -70,11 +94,8 @@ class SelfSchedulingPolicy : public sim::SchedulerPolicy {
   [[nodiscard]] std::size_t max_outstanding() const noexcept { return max_outstanding_; }
 
  private:
-  std::string name_;
-  std::vector<double> chunks_;
+  std::shared_ptr<const SelfSchedulingPlan> plan_;
   std::size_t cursor_ = 0;
-  std::vector<std::size_t> workers_;
-  double total_work_ = 0.0;
   std::size_t max_outstanding_ = 1;
 };
 
@@ -89,6 +110,11 @@ struct FactoringOptions {
 [[nodiscard]] std::vector<double> factoring_chunks(double w_total, std::size_t num_workers,
                                                    const FactoringOptions& options = {});
 
+/// Factoring's plan: factoring_chunks over an explicit worker subset
+/// (platform indices).
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(
+    double w_total, std::vector<std::size_t> workers, const FactoringOptions& options = {});
+
 /// The Factoring policy: precomputed decreasing chunks, greedy dispatch.
 class FactoringPolicy : public SelfSchedulingPolicy {
  public:
@@ -101,6 +127,10 @@ class FactoringPolicy : public SelfSchedulingPolicy {
 /// Factoring configured as the paper's standalone competitor on a given
 /// platform: unknown error, so the chunk floor is (cLat + nLat*N) converted
 /// to work units.
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(
+    const platform::StarPlatform& platform, double w_total);
+
+/// One run of prepare_factoring's plan.
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(
     const platform::StarPlatform& platform, double w_total);
 

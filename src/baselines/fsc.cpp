@@ -45,9 +45,15 @@ double fsc_chunk_size(const platform::StarPlatform& platform, double w_total, do
   return std::clamp(raw, std::min(overhead, one_round), one_round);
 }
 
+std::shared_ptr<const SelfSchedulingPlan> prepare_fsc(const platform::StarPlatform& platform,
+                                                     double w_total, double error) {
+  return make_self_scheduling_plan(
+      "FSC", equal_chunks(w_total, fsc_chunk_size(platform, w_total, error)),
+      all_workers(platform.size()));
+}
+
 FscPolicy::FscPolicy(const platform::StarPlatform& platform, double w_total, double error)
-    : SelfSchedulingPolicy("FSC", equal_chunks(w_total, fsc_chunk_size(platform, w_total, error)),
-                           platform.size()) {}
+    : SelfSchedulingPolicy(prepare_fsc(platform, w_total, error)) {}
 
 std::unique_ptr<sim::SchedulerPolicy> make_fsc_policy(const platform::StarPlatform& platform,
                                                       double w_total, double error) {

@@ -30,6 +30,10 @@ namespace rumr::baselines {
 [[nodiscard]] double fsc_chunk_size(const platform::StarPlatform& platform, double w_total,
                                     double error);
 
+/// FSC's plan: equal chunks of the Kruskal-Weiss size over every worker.
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_fsc(
+    const platform::StarPlatform& platform, double w_total, double error);
+
 /// The FSC policy: equal chunks of the Kruskal-Weiss size, greedy
 /// self-scheduled dispatch (same mechanics as Factoring).
 class FscPolicy : public SelfSchedulingPolicy {
@@ -37,7 +41,7 @@ class FscPolicy : public SelfSchedulingPolicy {
   FscPolicy(const platform::StarPlatform& platform, double w_total, double error);
 };
 
-/// Factory matching make_factoring_policy.
+/// Factory matching make_factoring_policy: one run of prepare_fsc's plan.
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_fsc_policy(
     const platform::StarPlatform& platform, double w_total, double error);
 

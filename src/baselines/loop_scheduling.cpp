@@ -84,12 +84,6 @@ std::vector<std::pair<std::size_t, double>> weighted_factoring_chunks(
   return plan;
 }
 
-GssPolicy::GssPolicy(double w_total, std::size_t num_workers, double min_chunk)
-    : SelfSchedulingPolicy("GSS", gss_chunks(w_total, num_workers, min_chunk), num_workers) {}
-
-TssPolicy::TssPolicy(double w_total, std::size_t num_workers, const TssOptions& options)
-    : SelfSchedulingPolicy("TSS", tss_chunks(w_total, num_workers, options), num_workers) {}
-
 CssPolicy::CssPolicy(double w_total, std::size_t num_workers, double chunk_size)
     : SelfSchedulingPolicy("CSS",
                            [&] {
@@ -109,27 +103,39 @@ CssPolicy::CssPolicy(double w_total, std::size_t num_workers, double chunk_size)
                            }(),
                            num_workers) {}
 
-WeightedFactoringPolicy::WeightedFactoringPolicy(const platform::StarPlatform& platform,
-                                                 double w_total, const FactoringOptions& options) {
-  std::vector<double> weights;
-  weights.reserve(platform.size());
-  for (const platform::WorkerSpec& w : platform.workers()) weights.push_back(w.speed);
-  plan_ = weighted_factoring_chunks(w_total, weights, options);
-  for (const auto& [worker, chunk] : plan_) total_work_ += chunk;
-}
-
-WeightedFactoringPolicy::WeightedFactoringPolicy(double w_total,
-                                                 std::vector<std::size_t> workers,
-                                                 const std::vector<double>& weights,
-                                                 const FactoringOptions& options) {
+std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
+    double w_total, const std::vector<std::size_t>& workers, const std::vector<double>& weights,
+    const FactoringOptions& options) {
   if (workers.size() != weights.size()) {
     throw std::invalid_argument("weighted factoring: workers/weights size mismatch");
   }
-  plan_ = weighted_factoring_chunks(w_total, weights, options);
+  auto plan = std::make_shared<WeightedFactoringPlan>();
+  plan->dispatches = weighted_factoring_chunks(w_total, weights, options);
   // Map weight positions back to platform worker indices.
-  for (auto& [position, chunk] : plan_) position = workers[position];
-  for (const auto& [worker, chunk] : plan_) total_work_ += chunk;
+  for (auto& [position, chunk] : plan->dispatches) position = workers[position];
+  for (const auto& [worker, chunk] : plan->dispatches) plan->total_work += chunk;
+  return plan;
 }
+
+namespace {
+
+std::vector<double> speeds(const platform::StarPlatform& platform) {
+  std::vector<double> weights;
+  weights.reserve(platform.size());
+  for (const platform::WorkerSpec& w : platform.workers()) weights.push_back(w.speed);
+  return weights;
+}
+
+}  // namespace
+
+WeightedFactoringPolicy::WeightedFactoringPolicy(
+    const std::shared_ptr<const WeightedFactoringPlan>& plan)
+    : plan_(plan->dispatches), total_work_(plan->total_work) {}
+
+WeightedFactoringPolicy::WeightedFactoringPolicy(const platform::StarPlatform& platform,
+                                                 double w_total, const FactoringOptions& options)
+    : WeightedFactoringPolicy(prepare_weighted_factoring(w_total, all_workers(platform.size()),
+                                                         speeds(platform), options)) {}
 
 std::optional<sim::Dispatch> WeightedFactoringPolicy::next_dispatch(
     const sim::MasterContext& ctx) {
@@ -171,27 +177,37 @@ std::optional<sim::Dispatch> WeightedFactoringPolicy::next_dispatch(
   return std::nullopt;
 }
 
-namespace {
-
-FactoringOptions overhead_floor_options(const platform::StarPlatform& platform) {
-  FactoringOptions options;
-  options.min_chunk = empty_round_overhead_work(platform);
-  return options;
+std::shared_ptr<const SelfSchedulingPlan> prepare_gss(const platform::StarPlatform& platform,
+                                                     double w_total) {
+  return make_self_scheduling_plan(
+      "GSS", gss_chunks(w_total, platform.size(), empty_round_overhead_work(platform)),
+      all_workers(platform.size()));
 }
 
-}  // namespace
+std::shared_ptr<const SelfSchedulingPlan> prepare_tss(const platform::StarPlatform& platform,
+                                                     double w_total) {
+  TssOptions options;
+  options.last = std::max(1.0, empty_round_overhead_work(platform));
+  return make_self_scheduling_plan("TSS", tss_chunks(w_total, platform.size(), options),
+                                   all_workers(platform.size()));
+}
+
+std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
+    const platform::StarPlatform& platform, double w_total) {
+  FactoringOptions options;
+  options.min_chunk = empty_round_overhead_work(platform);
+  return prepare_weighted_factoring(w_total, all_workers(platform.size()), speeds(platform),
+                                    options);
+}
 
 std::unique_ptr<sim::SchedulerPolicy> make_gss_policy(const platform::StarPlatform& platform,
                                                       double w_total) {
-  return std::make_unique<GssPolicy>(w_total, platform.size(),
-                                     empty_round_overhead_work(platform));
+  return std::make_unique<SelfSchedulingPolicy>(prepare_gss(platform, w_total));
 }
 
 std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(const platform::StarPlatform& platform,
                                                       double w_total) {
-  TssOptions options;
-  options.last = std::max(1.0, empty_round_overhead_work(platform));
-  return std::make_unique<TssPolicy>(w_total, platform.size(), options);
+  return std::make_unique<SelfSchedulingPolicy>(prepare_tss(platform, w_total));
 }
 
 std::unique_ptr<sim::SchedulerPolicy> make_css_policy(const platform::StarPlatform& platform,
@@ -202,8 +218,7 @@ std::unique_ptr<sim::SchedulerPolicy> make_css_policy(const platform::StarPlatfo
 
 std::unique_ptr<sim::SchedulerPolicy> make_weighted_factoring_policy(
     const platform::StarPlatform& platform, double w_total) {
-  return std::make_unique<WeightedFactoringPolicy>(platform, w_total,
-                                                   overhead_floor_options(platform));
+  return std::make_unique<WeightedFactoringPolicy>(prepare_weighted_factoring(platform, w_total));
 }
 
 }  // namespace rumr::baselines

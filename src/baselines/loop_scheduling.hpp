@@ -57,36 +57,35 @@ struct TssOptions {
 [[nodiscard]] std::vector<std::pair<std::size_t, double>> weighted_factoring_chunks(
     double w_total, const std::vector<double>& weights, const FactoringOptions& options = {});
 
-/// GSS as a runnable policy.
-class GssPolicy : public SelfSchedulingPolicy {
- public:
-  GssPolicy(double w_total, std::size_t num_workers, double min_chunk = 0.0);
-};
-
-/// TSS as a runnable policy.
-class TssPolicy : public SelfSchedulingPolicy {
- public:
-  TssPolicy(double w_total, std::size_t num_workers, const TssOptions& options = {});
-};
-
 /// CSS with a fixed chunk size k.
 class CssPolicy : public SelfSchedulingPolicy {
  public:
   CssPolicy(double w_total, std::size_t num_workers, double chunk_size);
 };
 
+/// Weighted Factoring's plan: (platform worker, chunk) pairs in batch order,
+/// each chunk pinned to the worker whose weight sized it.
+struct WeightedFactoringPlan {
+  std::vector<std::pair<std::size_t, double>> dispatches;
+  double total_work = 0.0;
+};
+
+/// weighted_factoring_chunks over an explicit worker subset with explicit
+/// weights (weights[k] belongs to platform worker workers[k]). RUMR's phase
+/// 2 uses it on heterogeneous platforms.
+[[nodiscard]] std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
+    double w_total, const std::vector<std::size_t>& workers, const std::vector<double>& weights,
+    const FactoringOptions& options = {});
+
 /// Weighted Factoring: speed-proportional batch shares, greedy dispatch that
-/// respects each chunk's designated worker.
+/// respects each chunk's designated worker. Its dispatch rule reorders the
+/// chunks still to send, so an instance copies the plan's list.
 class WeightedFactoringPolicy : public sim::SchedulerPolicy {
  public:
-  WeightedFactoringPolicy(const platform::StarPlatform& platform, double w_total,
-                          const FactoringOptions& options = {});
+  explicit WeightedFactoringPolicy(const std::shared_ptr<const WeightedFactoringPlan>& plan);
 
-  /// Restricted to an explicit worker subset with explicit weights
-  /// (weights[k] belongs to platform worker workers[k]). Used by RUMR's
-  /// phase 2 on heterogeneous platforms.
-  WeightedFactoringPolicy(double w_total, std::vector<std::size_t> workers,
-                          const std::vector<double>& weights,
+  /// Speed-weighted over every worker of `platform`.
+  WeightedFactoringPolicy(const platform::StarPlatform& platform, double w_total,
                           const FactoringOptions& options = {});
 
   [[nodiscard]] std::string_view name() const override { return "WF"; }
@@ -104,8 +103,16 @@ class WeightedFactoringPolicy : public sim::SchedulerPolicy {
   double total_work_ = 0.0;
 };
 
-/// Factories mirroring make_factoring_policy: floors default to the
-/// empty-round overhead so continuous loads terminate sensibly.
+/// The plans behind the factories below: floors default to the empty-round
+/// overhead so continuous loads terminate sensibly.
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_gss(
+    const platform::StarPlatform& platform, double w_total);
+[[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_tss(
+    const platform::StarPlatform& platform, double w_total);
+[[nodiscard]] std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
+    const platform::StarPlatform& platform, double w_total);
+
+/// Factories mirroring make_factoring_policy: one run of each plan above.
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_gss_policy(
     const platform::StarPlatform& platform, double w_total);
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(

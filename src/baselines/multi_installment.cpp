@@ -4,7 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "baselines/static_sequence.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
@@ -125,11 +124,15 @@ MiSchedule solve_multi_installment(const platform::StarPlatform& platform, doubl
   return schedule;
 }
 
+std::shared_ptr<const StaticSequencePlan> prepare_mi(const platform::StarPlatform& platform,
+                                                    double w_total, std::size_t installments) {
+  const MiSchedule schedule = solve_multi_installment(platform, w_total, installments);
+  return make_static_sequence_plan("MI-" + std::to_string(installments), schedule.to_plan());
+}
+
 std::unique_ptr<sim::SchedulerPolicy> make_mi_policy(const platform::StarPlatform& platform,
                                                      double w_total, std::size_t installments) {
-  const MiSchedule schedule = solve_multi_installment(platform, w_total, installments);
-  return std::make_unique<StaticSequencePolicy>("MI-" + std::to_string(installments),
-                                                schedule.to_plan());
+  return std::make_unique<StaticSequencePolicy>(prepare_mi(platform, w_total, installments));
 }
 
 }  // namespace rumr::baselines

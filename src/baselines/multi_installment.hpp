@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/static_sequence.hpp"
 #include "platform/platform.hpp"
 #include "sim/policy.hpp"
 
@@ -58,7 +59,13 @@ struct MiSchedule {
 [[nodiscard]] MiSchedule solve_multi_installment(const platform::StarPlatform& platform,
                                                  double w_total, std::size_t installments);
 
-/// Convenience: MI-x as a ready-to-simulate policy (a static sequence).
+/// MI-x's plan: the solved schedule as a static dispatch sequence named
+/// "MI-x".
+[[nodiscard]] std::shared_ptr<const StaticSequencePlan> prepare_mi(
+    const platform::StarPlatform& platform, double w_total, std::size_t installments);
+
+/// Convenience: MI-x as a ready-to-simulate policy (one run of prepare_mi's
+/// plan).
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_mi_policy(
     const platform::StarPlatform& platform, double w_total, std::size_t installments);
 

@@ -4,20 +4,30 @@
 
 namespace rumr::baselines {
 
-StaticSequencePolicy::StaticSequencePolicy(std::string name, std::vector<sim::Dispatch> plan)
-    : name_(std::move(name)) {
-  plan_.reserve(plan.size());
-  for (const sim::Dispatch& d : plan) {
+std::shared_ptr<const StaticSequencePlan> make_static_sequence_plan(
+    std::string name, const std::vector<sim::Dispatch>& dispatches) {
+  auto plan = std::make_shared<StaticSequencePlan>();
+  plan->name = std::move(name);
+  plan->dispatches.reserve(dispatches.size());
+  for (const sim::Dispatch& d : dispatches) {
     if (d.chunk > 0.0) {
-      plan_.push_back(d);
-      total_work_ += d.chunk;
+      plan->dispatches.push_back(d);
+      plan->total_work += d.chunk;
     }
   }
+  return plan;
 }
 
+StaticSequencePolicy::StaticSequencePolicy(std::shared_ptr<const StaticSequencePlan> plan)
+    : plan_(std::move(plan)) {}
+
+StaticSequencePolicy::StaticSequencePolicy(std::string name,
+                                           const std::vector<sim::Dispatch>& plan)
+    : StaticSequencePolicy(make_static_sequence_plan(std::move(name), plan)) {}
+
 std::optional<sim::Dispatch> StaticSequencePolicy::next_dispatch(const sim::MasterContext& ctx) {
-  if (cursor_ >= plan_.size()) return std::nullopt;
-  sim::Dispatch next = plan_[cursor_];
+  if (cursor_ >= plan_->dispatches.size()) return std::nullopt;
+  sim::Dispatch next = plan_->dispatches[cursor_];
   // Fault fallback: a precalculated schedule has no feedback loop, so a plan
   // entry aimed at a fenced worker is redirected to the soonest-ready alive
   // worker (the dead worker's share is redistributed, not stranded).

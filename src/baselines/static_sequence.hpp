@@ -8,6 +8,7 @@
 /// fixed dispatch sequence as fast as the uplink allows. This policy does
 /// exactly that: it never waits and never reacts to completions.
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,25 +17,40 @@
 
 namespace rumr::baselines {
 
-/// Replays a fixed sequence of dispatches in order.
+/// The immutable half of a static-sequence run: the dispatches, front to
+/// back. One plan serves any number of runs, concurrently.
+struct StaticSequencePlan {
+  std::string name;
+  /// Positive chunks only.
+  std::vector<sim::Dispatch> dispatches;
+  double total_work = 0.0;
+};
+
+/// Builds a plan from `dispatches`. Zero-sized entries are dropped (a solver
+/// may legitimately produce them).
+[[nodiscard]] std::shared_ptr<const StaticSequencePlan> make_static_sequence_plan(
+    std::string name, const std::vector<sim::Dispatch>& dispatches);
+
+/// Replays a fixed sequence of dispatches in order: a cursor over a plan.
 class StaticSequencePolicy : public sim::SchedulerPolicy {
  public:
-  /// `plan` is dispatched front to back. Chunks must be positive; zero-sized
-  /// entries are dropped (a solver may legitimately produce them).
-  StaticSequencePolicy(std::string name, std::vector<sim::Dispatch> plan);
+  explicit StaticSequencePolicy(std::shared_ptr<const StaticSequencePlan> plan);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  /// `plan` is dispatched front to back (see make_static_sequence_plan).
+  StaticSequencePolicy(std::string name, const std::vector<sim::Dispatch>& plan);
+
+  [[nodiscard]] std::string_view name() const override { return plan_->name; }
   std::optional<sim::Dispatch> next_dispatch(const sim::MasterContext& ctx) override;
-  [[nodiscard]] bool finished() const override { return cursor_ >= plan_.size(); }
-  [[nodiscard]] double total_work() const override { return total_work_; }
+  [[nodiscard]] bool finished() const override { return cursor_ >= plan_->dispatches.size(); }
+  [[nodiscard]] double total_work() const override { return plan_->total_work; }
 
-  [[nodiscard]] const std::vector<sim::Dispatch>& plan() const noexcept { return plan_; }
+  [[nodiscard]] const std::vector<sim::Dispatch>& plan() const noexcept {
+    return plan_->dispatches;
+  }
 
  private:
-  std::string name_;
-  std::vector<sim::Dispatch> plan_;
+  std::shared_ptr<const StaticSequencePlan> plan_;
   std::size_t cursor_ = 0;
-  double total_work_ = 0.0;
 };
 
 }  // namespace rumr::baselines

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/trace.hpp"
@@ -19,26 +21,83 @@ bool close(double a, double b, double rel_tol) {
   return std::abs(a - b) <= rel_tol * scale;
 }
 
-void check_sum(AuditReport& report, const char* what, double got, double want, double rel_tol) {
+/// A check's label: a string literal, or a callable that formats one. A
+/// callable runs only when its check fails, so a passing run formats nothing.
+template <typename Label>
+std::string label_text(const Label& label) {
+  if constexpr (std::is_invocable_v<const Label&>) {
+    return label();
+  } else {
+    return label;
+  }
+}
+
+/// The label of one worker's check: "worker <w><suffix>", formatted on demand.
+auto worker_label(std::size_t worker, const char* suffix) {
+  return [worker, suffix] { return "worker " + std::to_string(worker) + suffix; };
+}
+
+template <typename Label>
+void check_sum(AuditReport& report, const Label& what, double got, double want, double rel_tol) {
   if (close(got, want, rel_tol)) return;
   std::ostringstream out;
-  out << "work conservation: " << what << " is " << got << ", expected " << want;
+  out << "work conservation: " << label_text(what) << " is " << got << ", expected " << want;
   report.violations.push_back(out.str());
 }
 
 /// Spans of one kind never overlap: each must start at or after the previous
 /// end. Spans arrive in recording order, which the engine emits in start-time
 /// order per resource.
-void check_serial(AuditReport& report, const std::vector<sim::TraceSpan>& spans, const char* what,
+template <typename Label>
+void check_serial(AuditReport& report, std::span<const sim::TraceSpan> spans, const Label& what,
                   double tol) {
   for (std::size_t i = 1; i < spans.size(); ++i) {
     if (spans[i].start >= spans[i - 1].end - tol) continue;
     std::ostringstream out;
-    out << what << " overlap: span " << i << " starts at t=" << spans[i].start
+    out << label_text(what) << " overlap: span " << i << " starts at t=" << spans[i].start
         << " before the previous span ends at t=" << spans[i - 1].end;
     report.violations.push_back(out.str());
   }
 }
+
+/// Every worker's compute and outage spans, bucketed by a counting sort: one
+/// pass counts, one places, and each bucket keeps recording order. Spans that
+/// name no platform worker are left out (audit_trace reports them).
+class WorkerSpans {
+ public:
+  WorkerSpans(const std::vector<sim::TraceSpan>& spans, std::size_t workers)
+      : first_(2 * workers + 1, 0) {
+    for (const sim::TraceSpan& s : spans) {
+      if (const std::size_t b = bucket(s, workers); b < 2 * workers) ++first_[b + 1];
+    }
+    for (std::size_t b = 0; b < 2 * workers; ++b) first_[b + 1] += first_[b];
+    spans_.resize(first_.back());
+    std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
+    for (const sim::TraceSpan& s : spans) {
+      if (const std::size_t b = bucket(s, workers); b < 2 * workers) spans_[next[b]++] = s;
+    }
+  }
+
+  [[nodiscard]] std::span<const sim::TraceSpan> compute(std::size_t w) const { return of(2 * w); }
+  [[nodiscard]] std::span<const sim::TraceSpan> down(std::size_t w) const { return of(2 * w + 1); }
+
+ private:
+  /// Bucket 2w holds worker w's compute spans, 2w + 1 its outages; any other
+  /// span maps past the last bucket.
+  static std::size_t bucket(const sim::TraceSpan& s, std::size_t workers) {
+    if (s.worker >= workers) return 2 * workers;
+    if (s.kind == sim::SpanKind::kCompute) return 2 * s.worker;
+    if (s.kind == sim::SpanKind::kDown) return 2 * s.worker + 1;
+    return 2 * workers;
+  }
+
+  [[nodiscard]] std::span<const sim::TraceSpan> of(std::size_t b) const {
+    return {spans_.data() + first_[b], first_[b + 1] - first_[b]};
+  }
+
+  std::vector<std::size_t> first_;
+  std::vector<sim::TraceSpan> spans_;
+};
 
 void audit_trace(AuditReport& report, const sim::SimResult& result,
                  const platform::StarPlatform& platform, const TraceAuditOptions& options) {
@@ -83,24 +142,15 @@ void audit_trace(AuditReport& report, const sim::SimResult& result,
   // sums, and count must reproduce the aggregate outcome exactly. Aborted
   // spans (failure-truncated computations) are excluded from every sum: the
   // work they carried was reclaimed and re-dispatched, not computed here.
+  const WorkerSpans by_worker(spans, result.workers.size());
   for (std::size_t w = 0; w < result.workers.size(); ++w) {
-    std::vector<sim::TraceSpan> compute;
-    std::vector<sim::TraceSpan> down;
-    for (const sim::TraceSpan& s : result.trace.for_worker(w)) {
-      if (s.kind == sim::SpanKind::kCompute) compute.push_back(s);
-      if (s.kind == sim::SpanKind::kDown) down.push_back(s);
-    }
-    std::ostringstream label;
-    label << "worker " << w << " compute";
-    check_serial(report, compute, label.str().c_str(), tol);
+    const std::span<const sim::TraceSpan> compute = by_worker.compute(w);
+    const std::span<const sim::TraceSpan> down = by_worker.down(w);
+    check_serial(report, compute, worker_label(w, " compute"), tol);
 
     // Fault model: outage intervals are disjoint, and no completed
     // computation may overlap one — a dead worker produces nothing.
-    {
-      std::ostringstream down_label;
-      down_label << "worker " << w << " down";
-      check_serial(report, down, down_label.str().c_str(), tol);
-    }
+    check_serial(report, down, worker_label(w, " down"), tol);
     for (const sim::TraceSpan& c : compute) {
       for (const sim::TraceSpan& d : down) {
         if (c.end <= d.start + tol || c.start >= d.end - tol) continue;
@@ -118,9 +168,9 @@ void audit_trace(AuditReport& report, const sim::SimResult& result,
       work += s.chunk;
     }
     const sim::WorkerOutcome& out = result.workers[w];
-    check_sum(report, (label.str() + " span busy time").c_str(), busy, out.busy_time,
+    check_sum(report, worker_label(w, " compute span busy time"), busy, out.busy_time,
               options.work_tolerance);
-    check_sum(report, (label.str() + " span work").c_str(), work, out.work,
+    check_sum(report, worker_label(w, " compute span work"), work, out.work,
               options.work_tolerance);
     if (compute.size() != out.chunks) {
       std::ostringstream msg;
@@ -132,18 +182,20 @@ void audit_trace(AuditReport& report, const sim::SimResult& result,
 }
 
 /// Exact integer cross-check between two counters that must agree.
-void check_count(AuditReport& report, const char* what, std::size_t got, std::size_t want) {
+template <typename Label>
+void check_count(AuditReport& report, const Label& what, std::size_t got, std::size_t want) {
   if (got == want) return;
   std::ostringstream out;
-  out << "metrics identity: " << what << " is " << got << ", expected " << want;
+  out << "metrics identity: " << label_text(what) << " is " << got << ", expected " << want;
   report.violations.push_back(out.str());
 }
 
-void check_time_identity(AuditReport& report, const char* what, double got, double want,
+template <typename Label>
+void check_time_identity(AuditReport& report, const Label& what, double got, double want,
                          double rel_tol) {
   if (close(got, want, rel_tol)) return;
   std::ostringstream out;
-  out << "metrics identity: " << what << " is " << got << ", expected " << want;
+  out << "metrics identity: " << label_text(what) << " is " << got << ", expected " << want;
   report.violations.push_back(out.str());
 }
 
@@ -201,18 +253,13 @@ void audit_metrics(AuditReport& report, const sim::SimResult& result,
   std::size_t span_dispatches = 0;
   for (std::size_t w = 0; w < m.engine.workers.size(); ++w) {
     const obs::WorkerSpans& ws = m.engine.workers[w];
-    std::ostringstream label;
-    label << "worker " << w << " compute + aborted + idle + down vs makespan";
-    check_time_identity(report, label.str().c_str(),
+    check_time_identity(report, worker_label(w, " compute + aborted + idle + down vs makespan"),
                         ws.compute_time + ws.aborted_time + ws.idle_time + ws.down_time,
                         result.makespan, tol);
-    std::ostringstream busy_label;
-    busy_label << "worker " << w << " span compute_time vs outcome busy_time";
-    check_time_identity(report, busy_label.str().c_str(), ws.compute_time,
-                        result.workers[w].busy_time, tol);
-    check_count(report,
-                ("worker " + std::to_string(w) + " span completions vs outcome chunks").c_str(),
-                ws.completions, result.workers[w].chunks);
+    check_time_identity(report, worker_label(w, " span compute_time vs outcome busy_time"),
+                        ws.compute_time, result.workers[w].busy_time, tol);
+    check_count(report, worker_label(w, " span completions vs outcome chunks"), ws.completions,
+                result.workers[w].chunks);
     span_completions += ws.completions;
     span_dispatches += ws.dispatches;
   }

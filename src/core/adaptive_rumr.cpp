@@ -6,38 +6,52 @@
 
 namespace rumr::core {
 
-AdaptiveRumrPolicy::AdaptiveRumrPolicy(const platform::StarPlatform& platform, double w_total,
-                                       AdaptiveRumrOptions options)
-    : platform_(&platform), w_total_(w_total), options_(std::move(options)) {
+std::shared_ptr<const AdaptiveRumrPlan> prepare_adaptive_rumr(
+    const platform::StarPlatform& platform, double w_total, AdaptiveRumrOptions options) {
   if (!(w_total > 0.0) || !std::isfinite(w_total)) {
     throw std::invalid_argument("adaptive RUMR requires a positive, finite workload");
   }
-  const double fraction = std::clamp(options_.pilot_fraction, 0.0, 1.0);
+  const double fraction = std::clamp(options.pilot_fraction, 0.0, 1.0);
   const double w_pilot = fraction * w_total;
-  w_rest_ = w_total - w_pilot;
+  std::shared_ptr<const UmrPlan> pilot;
   if (w_pilot > 0.0) {
-    pilot_.emplace(platform, w_pilot, DispatchOrder::kOutOfOrder, options_.rumr.umr,
-                   name_ + "/pilot");
+    pilot = prepare_umr(platform, w_pilot, DispatchOrder::kOutOfOrder, options.rumr.umr,
+                        "RUMR-adaptive/pilot");
   }
+  return std::make_shared<const AdaptiveRumrPlan>(AdaptiveRumrPlan{.platform = platform,
+                                                                   .w_total = w_total,
+                                                                   .w_rest = w_total - w_pilot,
+                                                                   .options = std::move(options),
+                                                                   .pilot = std::move(pilot)});
 }
 
-void AdaptiveRumrPolicy::build_rest(const platform::StarPlatform& platform) {
-  double error = options_.fallback_error;
-  if (ratios_.count() >= options_.min_samples) {
+AdaptiveRumrPolicy::AdaptiveRumrPolicy(std::shared_ptr<const AdaptiveRumrPlan> plan)
+    : plan_(std::move(plan)) {
+  if (plan_->pilot) pilot_.emplace(plan_->pilot);
+}
+
+AdaptiveRumrPolicy::AdaptiveRumrPolicy(const platform::StarPlatform& platform, double w_total,
+                                       AdaptiveRumrOptions options)
+    : AdaptiveRumrPolicy(prepare_adaptive_rumr(platform, w_total, std::move(options))) {}
+
+void AdaptiveRumrPolicy::build_rest() {
+  const AdaptiveRumrOptions& options = plan_->options;
+  double error = options.fallback_error;
+  if (ratios_.count() >= options.min_samples) {
     // The sample spread of predicted/actual ratios is exactly the paper's
     // `error` parameter. Clamp into the meaningful range.
     error = std::clamp(ratios_.stddev(), 0.0, 1.0);
   }
   estimate_ = error;
-  RumrOptions rumr = options_.rumr;
+  RumrOptions rumr = options.rumr;
   rumr.known_error = error;
   rumr.name = name_ + "/rest";
-  rest_.emplace(platform, w_rest_, std::move(rumr));
+  rest_.emplace(plan_->platform, plan_->w_rest, std::move(rumr));
 }
 
 std::optional<sim::Dispatch> AdaptiveRumrPolicy::next_dispatch(const sim::MasterContext& ctx) {
   if (pilot_ && !pilot_->finished()) return pilot_->next_dispatch(ctx);
-  if (!rest_ && w_rest_ > 0.0) build_rest(*platform_);
+  if (!rest_ && plan_->w_rest > 0.0) build_rest();
   if (rest_ && !rest_->finished()) return rest_->next_dispatch(ctx);
   return std::nullopt;
 }
@@ -65,7 +79,7 @@ void AdaptiveRumrPolicy::on_worker_up(const sim::MasterContext& ctx, std::size_t
 bool AdaptiveRumrPolicy::finished() const {
   const bool pilot_done = !pilot_ || pilot_->finished();
   if (!pilot_done) return false;
-  if (w_rest_ <= 0.0) return true;
+  if (plan_->w_rest <= 0.0) return true;
   return rest_ && rest_->finished();
 }
 

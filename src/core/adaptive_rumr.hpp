@@ -12,6 +12,7 @@
 /// `error` of the paper's model — parameterizes a regular known-error RUMR
 /// over the remaining workload.
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -33,9 +34,30 @@ struct AdaptiveRumrOptions {
   RumrOptions rumr{};
 };
 
-/// RUMR with on-line error estimation.
+/// The immutable half of an adaptive run: the pilot's UMR plan, plus what
+/// the rest-policy is built from once the pilot has measured the error (a
+/// copy of the platform, so a run never outlives its inputs). One plan
+/// serves any number of runs, concurrently.
+struct AdaptiveRumrPlan {
+  platform::StarPlatform platform;
+  double w_total = 0.0;
+  double w_rest = 0.0;
+  AdaptiveRumrOptions options;
+  /// Null when the pilot fraction is zero.
+  std::shared_ptr<const UmrPlan> pilot;
+};
+
+/// Splits the workload and plans the pilot. Throws std::invalid_argument
+/// for a non-positive or non-finite workload.
+[[nodiscard]] std::shared_ptr<const AdaptiveRumrPlan> prepare_adaptive_rumr(
+    const platform::StarPlatform& platform, double w_total, AdaptiveRumrOptions options = {});
+
+/// RUMR with on-line error estimation: a cursor over an AdaptiveRumrPlan.
 class AdaptiveRumrPolicy : public sim::SchedulerPolicy {
  public:
+  explicit AdaptiveRumrPolicy(std::shared_ptr<const AdaptiveRumrPlan> plan);
+
+  /// Plans and wraps one run (see prepare_adaptive_rumr).
   AdaptiveRumrPolicy(const platform::StarPlatform& platform, double w_total,
                      AdaptiveRumrOptions options = {});
 
@@ -45,19 +67,16 @@ class AdaptiveRumrPolicy : public sim::SchedulerPolicy {
   void on_worker_down(const sim::MasterContext& ctx, std::size_t worker) override;
   void on_worker_up(const sim::MasterContext& ctx, std::size_t worker) override;
   [[nodiscard]] bool finished() const override;
-  [[nodiscard]] double total_work() const override { return w_total_; }
+  [[nodiscard]] double total_work() const override { return plan_->w_total; }
 
   /// The error estimate in force (nullopt until the rest-policy is built).
   [[nodiscard]] std::optional<double> estimated_error() const noexcept { return estimate_; }
 
  private:
-  void build_rest(const platform::StarPlatform& platform);
+  void build_rest();
 
   std::string name_ = "RUMR-adaptive";
-  const platform::StarPlatform* platform_ = nullptr;
-  double w_total_ = 0.0;
-  double w_rest_ = 0.0;
-  AdaptiveRumrOptions options_;
+  std::shared_ptr<const AdaptiveRumrPlan> plan_;
   std::optional<UmrPolicy> pilot_;
   std::optional<RumrPolicy> rest_;
   std::optional<double> estimate_;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "baselines/loop_scheduling.hpp"
-
 namespace rumr::core {
 
 double rumr_phase2_work(const platform::StarPlatform& platform, double w_total,
@@ -38,29 +36,28 @@ double rumr_phase2_work(const platform::StarPlatform& platform, double w_total,
   return phase2;
 }
 
-RumrPolicy::RumrPolicy(const platform::StarPlatform& platform, double w_total,
-                       RumrOptions options)
-    : name_(std::move(options.name)), w_total_(w_total) {
+std::shared_ptr<const RumrPlan> prepare_rumr(const platform::StarPlatform& platform,
+                                             double w_total, RumrOptions options) {
   if (!(w_total > 0.0) || !std::isfinite(w_total)) {
     throw std::invalid_argument("RUMR requires a positive, finite workload");
   }
 
-  w_phase2_ = rumr_phase2_work(platform, w_total, options);
-  const double w_phase1 = w_total - w_phase2_;
+  auto plan = std::make_shared<RumrPlan>();
+  plan->name = std::move(options.name);
+  plan->w_total = w_total;
+  plan->w_phase2 = rumr_phase2_work(platform, w_total, options);
+  const double w_phase2 = plan->w_phase2;
+  const double w_phase1 = w_total - w_phase2;
 
   if (w_phase1 > 0.0) {
-    phase1_.emplace(platform, w_phase1, options.phase1_order, options.umr, name_ + "/phase1");
+    plan->phase1 =
+        prepare_umr(platform, w_phase1, options.phase1_order, options.umr, plan->name + "/phase1");
   }
-  if (w_phase2_ > 0.0) {
+  if (w_phase2 > 0.0) {
     // Phase 2 runs on the worker set phase 1 selected, so both phases agree
     // on which resources the application uses.
-    std::vector<std::size_t> workers;
-    if (phase1_) {
-      workers = phase1_->schedule().selected_workers;
-    } else {
-      workers.resize(platform.size());
-      for (std::size_t i = 0; i < workers.size(); ++i) workers[i] = i;
-    }
+    std::vector<std::size_t> workers = plan->phase1 ? plan->phase1->schedule.selected_workers
+                                                    : baselines::all_workers(platform.size());
     const platform::StarPlatform active =
         workers.size() == platform.size() ? platform : platform.subset(workers);
 
@@ -80,19 +77,19 @@ RumrPolicy::RumrPolicy(const platform::StarPlatform& platform, double w_total,
     // micro-chunks whose request-reply round trips idle the workers.
     const auto n_active = static_cast<double>(workers.size());
     factoring.min_chunk =
-        std::clamp(factoring.min_chunk, w_phase2_ / (8.0 * n_active),
+        std::clamp(factoring.min_chunk, w_phase2 / (8.0 * n_active),
                    w_total / static_cast<double>(platform.size()));
     if (active.is_homogeneous()) {
-      phase2_ = std::make_unique<baselines::FactoringPolicy>(w_phase2_, std::move(workers),
-                                                             factoring);
+      plan->phase2_factoring =
+          baselines::prepare_factoring(w_phase2, std::move(workers), factoring);
     } else {
       // Speed-weighted shares: Hummel's equal chunks would hand a slow
       // worker an average-sized chunk and blow up the tail.
       std::vector<double> weights;
       weights.reserve(workers.size());
       for (std::size_t k = 0; k < workers.size(); ++k) weights.push_back(active.worker(k).speed);
-      phase2_ = std::make_unique<baselines::WeightedFactoringPolicy>(
-          w_phase2_, std::move(workers), weights, factoring);
+      plan->phase2_weighted =
+          baselines::prepare_weighted_factoring(w_phase2, workers, weights, factoring);
     }
     // Phase 2 stays strictly request-driven (max_outstanding = 1, the
     // SelfSchedulingPolicy default). We measured the one-chunk-prefetch
@@ -101,7 +98,21 @@ RumrPolicy::RumrPolicy(const platform::StarPlatform& platform, double w_total,
     // then runs slow cannot be rebalanced — and the net effect is slightly
     // negative across the Table 1 space. See bench_ablation_buffering.
   }
+  return plan;
 }
+
+RumrPolicy::RumrPolicy(const std::shared_ptr<const RumrPlan>& plan) : plan_(plan) {
+  if (plan_->phase1) phase1_.emplace(plan_->phase1);
+  if (plan_->phase2_factoring) {
+    phase2_ = std::make_unique<baselines::SelfSchedulingPolicy>(plan_->phase2_factoring);
+  } else if (plan_->phase2_weighted) {
+    phase2_ = std::make_unique<baselines::WeightedFactoringPolicy>(plan_->phase2_weighted);
+  }
+}
+
+RumrPolicy::RumrPolicy(const platform::StarPlatform& platform, double w_total,
+                       RumrOptions options)
+    : RumrPolicy(prepare_rumr(platform, w_total, std::move(options))) {}
 
 std::optional<sim::Dispatch> RumrPolicy::next_dispatch(const sim::MasterContext& ctx) {
   if (phase1_ && !phase1_->finished()) return phase1_->next_dispatch(ctx);

@@ -21,12 +21,12 @@
 ///   (iii) Phase-2 chunk sizes are bounded below by (cLat + nLat*N)/error
 ///         (known error) or (cLat + nLat*N) (unknown), in work units.
 
+#include <memory>
 #include <optional>
 #include <string>
 
-#include <memory>
-
 #include "baselines/factoring.hpp"
+#include "baselines/loop_scheduling.hpp"
 #include "core/umr_policy.hpp"
 #include "platform/platform.hpp"
 #include "sim/policy.hpp"
@@ -82,31 +82,54 @@ struct RumrOptions {
 [[nodiscard]] double rumr_phase2_work(const platform::StarPlatform& platform, double w_total,
                                       const RumrOptions& options);
 
-/// The RUMR policy.
+/// The immutable half of a RUMR run: the phase split, phase 1's UMR plan
+/// and phase 2's factoring plan. One plan serves any number of runs,
+/// concurrently.
+struct RumrPlan {
+  std::string name;
+  double w_total = 0.0;
+  double w_phase2 = 0.0;
+  /// Null when phase 1 is empty.
+  std::shared_ptr<const UmrPlan> phase1;
+  /// Phase 2 on a homogeneous worker set: plain Factoring. Null otherwise.
+  std::shared_ptr<const baselines::SelfSchedulingPlan> phase2_factoring;
+  /// Phase 2 on a heterogeneous worker set: speed-weighted Factoring. Null
+  /// otherwise.
+  std::shared_ptr<const baselines::WeightedFactoringPlan> phase2_weighted;
+};
+
+/// Splits the workload and plans both phases. Throws std::invalid_argument
+/// for a non-positive or non-finite workload.
+[[nodiscard]] std::shared_ptr<const RumrPlan> prepare_rumr(const platform::StarPlatform& platform,
+                                                           double w_total,
+                                                           RumrOptions options = {});
+
+/// The RUMR policy: a cursor over a RumrPlan.
 class RumrPolicy : public sim::SchedulerPolicy {
  public:
+  explicit RumrPolicy(const std::shared_ptr<const RumrPlan>& plan);
+
+  /// Plans and wraps one run (see prepare_rumr).
   RumrPolicy(const platform::StarPlatform& platform, double w_total, RumrOptions options = {});
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return plan_->name; }
   std::optional<sim::Dispatch> next_dispatch(const sim::MasterContext& ctx) override;
   void on_worker_down(const sim::MasterContext& ctx, std::size_t worker) override;
   void on_worker_up(const sim::MasterContext& ctx, std::size_t worker) override;
   [[nodiscard]] std::optional<des::SimTime> next_poll_time() const override;
   [[nodiscard]] bool finished() const override;
-  [[nodiscard]] double total_work() const override { return w_total_; }
+  [[nodiscard]] double total_work() const override { return plan_->w_total; }
 
   /// Workload reserved for phase 2 (0 means pure UMR; w_total means pure
   /// Factoring).
-  [[nodiscard]] double phase2_work() const noexcept { return w_phase2_; }
+  [[nodiscard]] double phase2_work() const noexcept { return plan_->w_phase2; }
   /// Rounds the phase-1 UMR schedule uses (0 when phase 1 is empty).
   [[nodiscard]] std::size_t phase1_rounds() const noexcept;
   /// True once phase 1 has fully dispatched and phase 2 is (or would be) active.
   [[nodiscard]] bool in_phase2() const noexcept;
 
  private:
-  std::string name_;
-  double w_total_ = 0.0;
-  double w_phase2_ = 0.0;
+  std::shared_ptr<const RumrPlan> plan_;
   std::optional<UmrPolicy> phase1_;
   /// Plain Factoring (late binding, best when workers are interchangeable)
   /// on homogeneous worker sets; speed-weighted Factoring on heterogeneous

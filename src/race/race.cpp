@@ -191,13 +191,22 @@ RaceResult race_cell(const sweep::SweepPlatform& platform,
         analysis::makespan_lower_bounds(platform.platform, options.w_total).combined();
   }
 
-  const ArmOracle oracle = [&platform, &algorithms, error, lower_bound,
-                            &options](std::size_t arm, std::size_t rep) {
+  // Each arm's plan depends only on the cell, so it is solved once here and
+  // every repetition runs a fresh instance of it; the plans die with the
+  // cell.
+  std::vector<sweep::PreparedPolicy> arms;
+  arms.reserve(algorithms.size());
+  for (const sweep::AlgorithmSpec& spec : algorithms) {
+    arms.push_back(spec.prepare(platform.platform, options.w_total, error));
+  }
+
+  const ArmOracle oracle = [&platform, &arms, error, lower_bound, &options](std::size_t arm,
+                                                                           std::size_t rep) {
     // One seed per repetition, shared by every arm: all arms face the same
     // perturbation lanes, keeping the comparisons paired.
     const std::uint64_t seed =
         sweep::derive_rep_seed(options.base_seed, platform.label, error, rep);
-    const auto policy = algorithms[arm].make(platform.platform, options.w_total, error);
+    const auto policy = arms[arm]();
     sim::SimOptions sim_options;
     sim_options.comm_error = stats::ErrorModel(options.distribution, error);
     sim_options.comp_error = stats::ErrorModel(options.distribution, error);

@@ -183,19 +183,26 @@ struct ClosedPartial {
   }
 };
 
+/// A site's line-up, prepared once by the first shard that reaches the site
+/// and freed when the site emits.
+struct SiteLineup {
+  std::once_flag prepared;
+  std::vector<PreparedPolicy> policies;
+};
+
 ClosedPartial run_closed_shard(const SweepPlatform& site, double error, std::size_t rep_begin,
-                               std::size_t rep_end, const std::vector<AlgorithmSpec>& algorithms,
+                               std::size_t rep_end, const std::vector<PreparedPolicy>& lineup,
                                const SweepOptions& options) {
   ClosedPartial partial;
-  partial.cells.resize(algorithms.size());
-  std::vector<double> makespans(algorithms.size());
+  partial.cells.resize(lineup.size());
+  std::vector<double> makespans(lineup.size());
   for (std::size_t rep = rep_begin; rep < rep_end; ++rep) {
     // One seed per repetition, shared by every algorithm: the reference and
     // its competitors face the same perturbation draw, keeping the win-rate
     // comparisons paired (the paper's Tables 2-3 methodology).
     const std::uint64_t seed = derive_rep_seed(options.base_seed, site.label, error, rep);
-    for (std::size_t a = 0; a < algorithms.size(); ++a) {
-      const auto policy = algorithms[a].make(site.platform, options.w_total, error);
+    for (std::size_t a = 0; a < lineup.size(); ++a) {
+      const auto policy = lineup[a]();
       const sim::SimOptions sim_options = make_sim_options(
           error, seed, options.distribution, options.faults, options.fault_tolerance);
       const sim::SimResult sim_result = simulate(site.platform, *policy, sim_options);
@@ -217,7 +224,7 @@ ClosedPartial run_closed_shard(const SweepPlatform& site, double error, std::siz
       cell.hol_blocking_time.add(m.engine.hol_blocking_time);
       cell.work_redispatched.add(m.engine.work_redispatched);
     }
-    for (std::size_t a = 0; a < algorithms.size(); ++a) {
+    for (std::size_t a = 0; a < lineup.size(); ++a) {
       CellStats& cell = partial.cells[a];
       cell.makespan.add(makespans[a]);
       cell.makespan_quantiles.add(makespans[a]);
@@ -243,16 +250,37 @@ void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
   const std::size_t rep_block = resolve_rep_block(options.repetitions, options.rep_block);
   const std::size_t blocks = (options.repetitions + rep_block - 1) / rep_block;
   const std::size_t num_errors = options.errors.size();
+  const std::size_t num_sites = platforms.size() * num_errors;
+
+  // Plans depend only on (platform, w_total, error), so every repetition of
+  // a site runs from one prepared line-up. It is shared across the site's
+  // shards — a shard may hold a single repetition — and lives only until the
+  // site emits, so memory stays bounded by the sites in flight.
+  std::vector<SiteLineup> lineups(num_sites);
 
   run_sharded<ClosedPartial>(
-      platforms.size() * num_errors, blocks, options.threads,
+      num_sites, blocks, options.threads,
       [&](std::size_t site, std::size_t block) {
+        const SweepPlatform& platform = platforms[site / num_errors];
+        const double error = options.errors[site % num_errors];
+        SiteLineup& lineup = lineups[site];
+        std::call_once(lineup.prepared, [&] {
+          // Built aside, so a prepare that throws leaves nothing half-built
+          // for the shard that retries.
+          std::vector<PreparedPolicy> policies;
+          policies.reserve(algorithms.size());
+          for (const AlgorithmSpec& spec : algorithms) {
+            policies.push_back(spec.prepare(platform.platform, options.w_total, error));
+          }
+          lineup.policies = std::move(policies);
+        });
         const std::size_t rep_begin = block * rep_block;
         const std::size_t rep_end = std::min(options.repetitions, rep_begin + rep_block);
-        return run_closed_shard(platforms[site / num_errors], options.errors[site % num_errors],
-                                rep_begin, rep_end, algorithms, options);
+        return run_closed_shard(platform, error, rep_begin, rep_end, lineup.policies, options);
       },
       [&](std::size_t site, ClosedPartial&& merged) {
+        // Every shard of the site has finished with its plans.
+        std::vector<PreparedPolicy>().swap(lineups[site].policies);
         const std::size_t platform_idx = site / num_errors;
         const std::size_t error_idx = site % num_errors;
         for (std::size_t a = 0; a < algorithms.size(); ++a) {

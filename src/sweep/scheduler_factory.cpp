@@ -10,11 +10,22 @@
 
 namespace rumr::sweep {
 
+namespace {
+
+/// Binds a solved plan into a PreparedPolicy whose calls build `Policy`
+/// cursors over it.
+template <typename Policy, typename Plan>
+PreparedPolicy instances_of(std::shared_ptr<const Plan> plan) {
+  return [plan = std::move(plan)] { return std::make_unique<Policy>(plan); };
+}
+
+}  // namespace
+
 AlgorithmSpec rumr_spec() {
   return {"RUMR", [](const platform::StarPlatform& p, double w, double error) {
             core::RumrOptions options;
             options.known_error = error;
-            return std::make_unique<core::RumrPolicy>(p, w, std::move(options));
+            return instances_of<core::RumrPolicy>(core::prepare_rumr(p, w, std::move(options)));
           }};
 }
 
@@ -24,20 +35,20 @@ AlgorithmSpec rumr_inorder_spec() {
             options.known_error = error;
             options.phase1_order = core::DispatchOrder::kInOrder;
             options.name = "RUMR-inorder";
-            return std::make_unique<core::RumrPolicy>(p, w, std::move(options));
+            return instances_of<core::RumrPolicy>(core::prepare_rumr(p, w, std::move(options)));
           }};
 }
 
 AlgorithmSpec rumr_fixed_spec(double phase1_percent) {
   core::RumrOptions options = core::rumr_fixed_split_options(phase1_percent);
   return {options.name, [options](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::RumrPolicy>(p, w, options);
+            return instances_of<core::RumrPolicy>(core::prepare_rumr(p, w, options));
           }};
 }
 
 AlgorithmSpec rumr_adaptive_spec() {
   return {"RUMR-adaptive", [](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::AdaptiveRumrPolicy>(p, w);
+            return instances_of<core::AdaptiveRumrPolicy>(core::prepare_adaptive_rumr(p, w));
           }};
 }
 
@@ -48,44 +59,49 @@ AlgorithmSpec umr_spec() {
   // the master cannot opportunistically run ahead when transfers finish
   // early (the greedy component RUMR adds in phase 1).
   return {"UMR", [](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::UmrPolicy>(p, w, core::DispatchOrder::kTimetable);
+            return instances_of<core::UmrPolicy>(
+                core::prepare_umr(p, w, core::DispatchOrder::kTimetable));
           }};
 }
 
 AlgorithmSpec mi_spec(std::size_t installments) {
   return {"MI-" + std::to_string(installments),
           [installments](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_mi_policy(p, w, installments);
+            return instances_of<baselines::StaticSequencePolicy>(
+                baselines::prepare_mi(p, w, installments));
           }};
 }
 
 AlgorithmSpec factoring_spec() {
   return {"Factoring", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_factoring_policy(p, w);
+            return instances_of<baselines::SelfSchedulingPolicy>(
+                baselines::prepare_factoring(p, w));
           }};
 }
 
 AlgorithmSpec fsc_spec() {
   return {"FSC", [](const platform::StarPlatform& p, double w, double error) {
-            return baselines::make_fsc_policy(p, w, error);
+            return instances_of<baselines::SelfSchedulingPolicy>(
+                baselines::prepare_fsc(p, w, error));
           }};
 }
 
 AlgorithmSpec gss_spec() {
   return {"GSS", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_gss_policy(p, w);
+            return instances_of<baselines::SelfSchedulingPolicy>(baselines::prepare_gss(p, w));
           }};
 }
 
 AlgorithmSpec tss_spec() {
   return {"TSS", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_tss_policy(p, w);
+            return instances_of<baselines::SelfSchedulingPolicy>(baselines::prepare_tss(p, w));
           }};
 }
 
 AlgorithmSpec weighted_factoring_spec() {
   return {"WF", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_weighted_factoring_policy(p, w);
+            return instances_of<baselines::WeightedFactoringPolicy>(
+                baselines::prepare_weighted_factoring(p, w));
           }};
 }
 

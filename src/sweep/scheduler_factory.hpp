@@ -8,6 +8,12 @@
 /// The factory receives the true error level of the experiment: RUMR and FSC
 /// are given it (the paper's "error is known" setting — see section 4.2);
 /// UMR, MI-x and Factoring ignore it by construction.
+///
+/// Construction is split in two. `prepare` solves the algorithm's schedule
+/// once, from the platform parameters alone — as the paper's UMR and MI-x
+/// are "precalculated at the onset of the application" — and returns an
+/// immutable plan; each call of the result is one run's policy, a cursor over
+/// that plan. A sweep site or a raced cell prepares once and runs many.
 
 #include <functional>
 #include <memory>
@@ -19,12 +25,25 @@
 
 namespace rumr::sweep {
 
+/// A prepared policy: each call returns a fresh per-run instance over one
+/// plan. The plan is immutable, so calls may run concurrently from any
+/// number of threads; an instance belongs to one run.
+using PreparedPolicy = std::function<std::unique_ptr<sim::SchedulerPolicy>()>;
+
 /// A named scheduling algorithm.
 struct AlgorithmSpec {
   std::string name;
-  std::function<std::unique_ptr<sim::SchedulerPolicy>(const platform::StarPlatform& platform,
-                                                      double w_total, double error)>
-      make;
+  /// Solves the plan for one (platform, workload, error) site.
+  std::function<PreparedPolicy(const platform::StarPlatform& platform, double w_total,
+                               double error)>
+      prepare;
+
+  /// One run's policy from a freshly prepared plan: equal to every instance
+  /// of prepare(platform, w_total, error).
+  [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make(const platform::StarPlatform& platform,
+                                                           double w_total, double error) const {
+    return prepare(platform, w_total, error)();
+  }
 };
 
 /// RUMR with the error level known (original RUMR of the paper).

@@ -1,5 +1,6 @@
 #include "util/json_lite.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -135,9 +136,16 @@ void append_json_number(std::string& out, double value) {
     throw JsonError(JsonError::Kind::kType, "non-finite number has no JSON spelling");
   }
   char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   if (ec != std::errc()) {
     throw JsonError(JsonError::Kind::kType, "number formatting failed");
+  }
+  // The shortest form of a round integer can carry an exponent (100000 is
+  // "1e+05"), which readers that type numbers by their spelling take for a
+  // float. Integers that a double holds exactly are written as plain digits.
+  if (std::find(buf, ptr, 'e') != ptr && std::abs(value) < 0x1p53 &&
+      value == std::trunc(value)) {
+    ptr = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(value)).ptr;
   }
   out.append(buf, ptr);
 }

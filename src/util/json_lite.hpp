@@ -20,7 +20,8 @@
 /// and dump() serializes it with full escaping — control characters and
 /// non-ASCII text are emitted as \uXXXX escapes, so the output is always
 /// 7-bit clean and parse(dump(v)) reproduces the tree. Numbers print with
-/// std::to_chars shortest round-trip form, so serialization is
+/// std::to_chars shortest round-trip form (integers below 2^53 always as
+/// plain digits), so serialization is
 /// byte-deterministic across runs and platforms — the property the serve
 /// plan cache's canonical keys and byte-identical responses rest on.
 
@@ -95,8 +96,8 @@ class JsonValue {
   void set(std::string key, JsonValue value);
 
   /// Serializes this value as one compact JSON document: no whitespace,
-  /// object keys in insertion order, numbers in std::to_chars shortest
-  /// round-trip form, strings escaped to 7-bit ASCII (control characters
+  /// object keys in insertion order, numbers as append_json_number writes
+  /// them, strings escaped to 7-bit ASCII (control characters
   /// and non-ASCII as \uXXXX, invalid UTF-8 bytes as U+FFFD).
   [[nodiscard]] std::string dump() const;
 
@@ -134,8 +135,9 @@ class JsonValue {
 /// writers share).
 void append_json_quoted(std::string& out, std::string_view text);
 
-/// Appends `value` in std::to_chars shortest round-trip form. Throws
-/// JsonError{kType} on non-finite input.
+/// Appends `value` in std::to_chars shortest round-trip form, except that
+/// an integer below 2^53 in magnitude is always plain digits (100000, never
+/// 1e+05). Throws JsonError{kType} on non-finite input.
 void append_json_number(std::string& out, double value);
 
 }  // namespace rumr::util

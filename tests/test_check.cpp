@@ -283,6 +283,37 @@ TEST(MetricsAudit, FiresOnWorkerSpanPartitionMismatch) {
             std::string::npos);
 }
 
+TEST(MetricsAudit, FailingPerWorkerIdentityNamesItsWorker) {
+  // Labels are formatted only when a check fails; a failure must still name
+  // the worker it belongs to, and only that worker.
+  sim::SimResult result = metrics_run();
+  result.metrics.engine.workers[3].idle_time -= 0.5;
+  const platform::StarPlatform p = platform::StarPlatform::homogeneous(
+      {.workers = 4, .speed = 1.0, .bandwidth = 8.0, .comp_latency = 0.1, .comm_latency = 0.05});
+  const std::string summary = audit_sim_result(result, p, 200.0).summary();
+  EXPECT_NE(summary.find("worker 3 compute + aborted + idle + down vs makespan"),
+            std::string::npos)
+      << summary;
+  EXPECT_EQ(summary.find("worker 0"), std::string::npos) << summary;
+}
+
+TEST(TraceAudit, FailingPerWorkerSpanCheckNamesItsWorker) {
+  const platform::StarPlatform p = platform::StarPlatform::homogeneous(
+      {.workers = 4, .speed = 1.0, .bandwidth = 8.0, .comp_latency = 0.1, .comm_latency = 0.05});
+  auto policy = sweep::umr_spec().make(p, 200.0, 0.0);
+  sim::SimOptions options = sim::SimOptions::with_error(0.3, 21);
+  options.record_trace = true;
+  sim::SimResult result = sim::simulate(p, *policy, options);
+  ASSERT_TRUE(audit_sim_result(result, p, 200.0).ok());
+  // An empty compute span at t=0, recorded after worker 3's real ones: it
+  // overlaps them and is one span more than worker 3's chunk count.
+  result.trace.add({sim::SpanKind::kCompute, 3, 0.0, 0.0, 0.0});
+  const std::string summary = audit_sim_result(result, p, 200.0).summary();
+  EXPECT_NE(summary.find("worker 3 compute overlap"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("worker 3 has "), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("worker 0"), std::string::npos) << summary;
+}
+
 TEST(MetricsAudit, FiresOnDesEventLedgerMismatch) {
   sim::SimResult result = metrics_run();
   result.metrics.des.events_scheduled += 1;  // conservation: scheduled != executed + cancelled

@@ -193,6 +193,27 @@ TEST(JsonLite, WriterReaderRoundTripReproducesTheTree) {
   EXPECT_EQ(back.dump(), wire);
 }
 
+TEST(JsonLite, IntegersBelowTwoToThe53AreWrittenInPlainDigits) {
+  const auto spelled = [](double value) {
+    std::string out;
+    append_json_number(out, value);
+    return out;
+  };
+  // Shortest round-trip form would print these with an exponent ("1e+05").
+  EXPECT_EQ(spelled(1e5), "100000");
+  EXPECT_EQ(spelled(2e5), "200000");
+  EXPECT_EQ(spelled(1e6), "1000000");
+  EXPECT_EQ(spelled(-3e5), "-300000");
+  EXPECT_EQ(spelled(1e15), "1000000000000000");
+  EXPECT_EQ(spelled(9007199254740991.0), "9007199254740991");  // 2^53 - 1.
+  // Non-integers keep their shortest form, exponent included.
+  EXPECT_EQ(spelled(1.5e-07), "1.5e-07");
+  EXPECT_EQ(spelled(0.25), "0.25");
+  for (const double value : {1e5, 2e5, 1e6, -3e5, 1e15, 9007199254740991.0, 1.5e-07}) {
+    EXPECT_EQ(JsonValue::parse(spelled(value)).as_number(), value) << spelled(value);
+  }
+}
+
 TEST(JsonLite, WriterRefusesNonFiniteNumbers) {
   EXPECT_THROW((void)JsonValue::number(std::numeric_limits<double>::infinity()), JsonError);
   EXPECT_THROW((void)JsonValue::number(std::numeric_limits<double>::quiet_NaN()), JsonError);

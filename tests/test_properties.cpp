@@ -1,10 +1,17 @@
 // Property-based tests: invariants that must hold for EVERY scheduler on
 // randomly drawn platforms, workloads, and error levels. Parameterized gtest
-// sweeps the whole algorithm line-up through the same checks.
+// sweeps the whole algorithm line-up through the same checks, including the
+// prepare/instance contract: every instance of one prepared plan runs exactly
+// as a freshly made policy does, also when instances run concurrently.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ios>
+#include <latch>
+#include <sstream>
+#include <thread>
 
 #include "stats/rng.hpp"
 #include "sim/master_worker.hpp"
@@ -29,6 +36,15 @@ class AllSchedulers : public ::testing::TestWithParam<std::size_t> {
       cs.push_back({"RUMR-adaptive", rumr_adaptive_spec()});
       cs.push_back({"RUMR-80fixed", rumr_fixed_spec(80.0)});
       cs.push_back({"RUMR-inorder", rumr_inorder_spec()});
+      // The racing and loop-family line-ups, each algorithm once.
+      for (std::vector<AlgorithmSpec> lineup : {racing_competitors(), loop_family_competitors()}) {
+        for (AlgorithmSpec& spec : lineup) {
+          const bool seen = std::any_of(cs.begin(), cs.end(), [&](const PropertyCase& c) {
+            return c.spec.name == spec.name;
+          });
+          if (!seen) cs.push_back({spec.name, std::move(spec)});
+        }
+      }
       return cs;
     }();
     return all;
@@ -123,6 +139,97 @@ TEST_P(AllSchedulers, MakespanGrowsWithWorkload) {
   const double m_large =
       simulate(s.platform, *large, sim::SimOptions::with_error(0.2, 5)).makespan;
   EXPECT_GT(m_large, m_small) << test_case.name;
+}
+
+// --- Prepared plans -----------------------------------------------------------
+
+/// A homogeneous and a heterogeneous platform: RUMR's phase 2 is plain
+/// Factoring on the first and Weighted Factoring on the second.
+std::vector<platform::StarPlatform> plan_platforms() {
+  return {platform::StarPlatform::homogeneous({.workers = 6,
+                                               .speed = 1.0,
+                                               .bandwidth = 9.0,
+                                               .comp_latency = 0.2,
+                                               .comm_latency = 0.05,
+                                               .transfer_latency = 0.01}),
+          platform::StarPlatform({{2.0, 20.0, 0.1, 0.05, 0.01},
+                                  {1.0, 12.0, 0.3, 0.02, 0.0},
+                                  {0.5, 10.0, 0.2, 0.1, 0.02},
+                                  {1.5, 15.0, 0.0, 0.05, 0.01},
+                                  {1.0, 8.0, 0.4, 0.0, 0.0}})};
+}
+
+/// Everything a run reports that its policy decides, in exact (hex) form:
+/// makespan, event count, per-worker outcomes and every trace span.
+std::string run_fingerprint(const platform::StarPlatform& p, sim::SchedulerPolicy& policy,
+                            double error, std::uint64_t seed) {
+  sim::SimOptions options = sim::SimOptions::with_error(error, seed);
+  options.record_trace = true;
+  const sim::SimResult r = sim::simulate(p, policy, options);
+  std::ostringstream out;
+  out << std::hexfloat << r.makespan << " events=" << r.events << '\n';
+  for (const sim::WorkerOutcome& w : r.workers) {
+    out << w.work << ' ' << w.chunks << ' ' << w.busy_time << ' ' << w.first_start << ' '
+        << w.last_end << '\n';
+  }
+  for (const sim::TraceSpan& span : r.trace.spans()) {
+    out << static_cast<int>(span.kind) << ' ' << span.worker << ' ' << span.chunk << ' '
+        << span.start << ' ' << span.end << '\n';
+  }
+  return out.str();
+}
+
+TEST_P(AllSchedulers, InstancesOfOnePreparedPlanReproduceFreshPolicies) {
+  const PropertyCase& test_case = cases()[GetParam()];
+  constexpr double kWork = 300.0;
+  for (const platform::StarPlatform& p : plan_platforms()) {
+    for (const double error : {0.0, 0.1, 0.3, 1.0}) {
+      const PreparedPolicy prepared = test_case.spec.prepare(p, kWork, error);
+      // Three live instances of one plan, run out of creation order and
+      // interleaved with fresh policies, each under its own seed.
+      std::vector<std::unique_ptr<sim::SchedulerPolicy>> instances;
+      for (int k = 0; k < 3; ++k) instances.push_back(prepared());
+      for (const std::size_t k : {2, 0, 1}) {
+        const std::uint64_t seed = 1000 + k;
+        const auto fresh = test_case.spec.make(p, kWork, error);
+        EXPECT_EQ(run_fingerprint(p, *instances[k], error, seed),
+                  run_fingerprint(p, *fresh, error, seed))
+            << test_case.name << " on " << p.size() << " workers, error " << error
+            << ", instance " << k;
+      }
+    }
+  }
+}
+
+TEST_P(AllSchedulers, ConcurrentInstancesOfOnePlanMatchSerialRuns) {
+  // The TSan target: eight threads instantiate and simulate from one shared
+  // plan at the same time.
+  const PropertyCase& test_case = cases()[GetParam()];
+  constexpr std::size_t kThreads = 8;
+  constexpr double kWork = 300.0;
+  constexpr double kError = 0.3;
+  const platform::StarPlatform p = plan_platforms()[1];
+  std::vector<std::string> expected(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const auto fresh = test_case.spec.make(p, kWork, kError);
+    expected[t] = run_fingerprint(p, *fresh, kError, 50 + t);
+  }
+
+  const PreparedPolicy prepared = test_case.spec.prepare(p, kWork, kError);
+  std::vector<std::string> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const auto policy = prepared();
+      got[t] = run_fingerprint(p, *policy, kError, 50 + t);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], expected[t]) << test_case.name << ", thread " << t;
+  }
 }
 
 std::string case_name(const ::testing::TestParamInfo<std::size_t>& info) {

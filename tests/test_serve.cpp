@@ -233,6 +233,13 @@ TEST(ServeCanonicalKey, EveryFieldParticipates) {
   EXPECT_NE(canonical_query_key(changed), base_key);
 }
 
+TEST(ServeCanonicalKey, IntegralWorkloadIsSpelledInPlainDigits) {
+  const Request batch = parse_request(batch_json(1, {"{\"workload\":100000,\"seed\":7}"}));
+  ASSERT_TRUE(batch.queries[0].query.has_value());
+  const std::string key = canonical_query_key(*batch.queries[0].query);
+  EXPECT_NE(key.find("\"workload\":100000,"), std::string::npos) << key;
+}
+
 TEST(ServeCanonicalKey, Fnv1a64MatchesReferenceConstants) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);  // FNV-1a offset basis.
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);

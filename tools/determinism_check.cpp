@@ -9,10 +9,11 @@
 //      sequence) order — and the kernel must pass a SimulatorAuditor
 //      (monotonicity, no-schedule-in-the-past, event conservation at drain).
 //   2. Scheduler replay audit: every scheduling algorithm in the evaluation
-//      (core + baselines) runs twice on the same run description; the JSON
-//      traces and result fingerprints must match byte for byte. Each run is
-//      additionally passed through the rumr::check work-conservation
-//      auditor.
+//      (core + baselines) runs twice on the same run description, and twice
+//      more as two instances of one prepared plan (AlgorithmSpec::prepare);
+//      the JSON traces and result fingerprints must match byte for byte. The
+//      first run is additionally passed through the rumr::check
+//      work-conservation auditor.
 //   3. Multi-job replay audit: the open-system engine (rumr::jobs) runs the
 //      same Poisson stream twice under each platform-sharing policy; the
 //      per-job CSV plus summary JSON must match byte for byte, and every run
@@ -125,15 +126,14 @@ std::vector<rumr::sweep::AlgorithmSpec> all_schedulers() {
   return unique;
 }
 
-/// Runs one algorithm once and reduces the run to a byte-comparable string:
+/// Runs one policy once and reduces the run to a byte-comparable string:
 /// the Chrome-tracing JSON plus every result scalar at full precision.
-std::string run_fingerprint(const rumr::sweep::AlgorithmSpec& spec,
+std::string run_fingerprint(rumr::sim::SchedulerPolicy& policy,
                             const rumr::platform::StarPlatform& platform, double w_total,
                             double error, std::uint64_t seed, std::string* audit_out) {
-  auto policy = spec.make(platform, w_total, error);
   rumr::sim::SimOptions options = rumr::sim::SimOptions::with_error(error, seed);
   options.record_trace = true;
-  const rumr::sim::SimResult result = rumr::sim::simulate(platform, *policy, options);
+  const rumr::sim::SimResult result = rumr::sim::simulate(platform, policy, options);
 
   const rumr::check::AuditReport audit =
       rumr::check::audit_sim_result(result, platform, w_total);
@@ -152,13 +152,22 @@ std::string run_fingerprint(const rumr::sweep::AlgorithmSpec& spec,
   return out.str();
 }
 
+/// Each scheduler runs twice from make() and twice more from one prepared
+/// plan; all four runs must be byte-identical.
 void scheduler_replay_round(const rumr::platform::StarPlatform& platform, const char* label,
                             double w_total, double error, std::uint64_t seed) {
   for (const rumr::sweep::AlgorithmSpec& spec : all_schedulers()) {
+    const auto fingerprint = [&](rumr::sim::SchedulerPolicy& policy, std::string* audit_out) {
+      return run_fingerprint(policy, platform, w_total, error, seed, audit_out);
+    };
     std::string audit_detail;
-    const std::string first = run_fingerprint(spec, platform, w_total, error, seed, &audit_detail);
-    const std::string second = run_fingerprint(spec, platform, w_total, error, seed, nullptr);
+    const std::string first = fingerprint(*spec.make(platform, w_total, error), &audit_detail);
+    const std::string second = fingerprint(*spec.make(platform, w_total, error), nullptr);
+    const rumr::sweep::PreparedPolicy prepared = spec.prepare(platform, w_total, error);
+    const std::string planned_a = fingerprint(*prepared(), nullptr);
+    const std::string planned_b = fingerprint(*prepared(), nullptr);
     const bool identical = first == second;
+    const bool plan_identical = planned_a == first && planned_b == first;
     const bool audited = audit_detail.empty();
 
     std::ostringstream what;
@@ -166,8 +175,12 @@ void scheduler_replay_round(const rumr::platform::StarPlatform& platform, const 
          << seed << ")";
     std::string detail;
     if (!identical) detail = "replay produced a different trace";
+    if (!plan_identical) {
+      detail += (detail.empty() ? "" : "; ") +
+                std::string("a run from the prepared plan differs from make()'s");
+    }
     if (!audited) detail += (detail.empty() ? "" : "; ") + ("audit: " + audit_detail);
-    report(what.str(), identical && audited, detail);
+    report(what.str(), identical && plan_identical && audited, detail);
   }
 }
 
