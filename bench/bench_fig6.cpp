@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
                       grid, errors.size(), reps);
 
   std::vector<sweep::AlgorithmSpec> algorithms{sweep::rumr_spec()};
-  const std::vector<double> percents = {50.0, 60.0, 70.0, 80.0, 90.0};
-  for (double percent : percents) algorithms.push_back(sweep::rumr_fixed_spec(percent));
+  for (std::size_t percent = 50; percent <= 90; percent += 10) {
+    algorithms.push_back(sweep::rumr_fixed_spec(percent));
+  }
 
   const sweep::SweepResult result = run_sweep(sweep::make_grid(grid), algorithms,
                                               bench::bench_sweep_options(settings, errors, reps));

@@ -9,8 +9,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "baselines/factoring.hpp"
-#include "baselines/loop_scheduling.hpp"
+#include "config/policies.hpp"
 #include "core/rumr.hpp"
 #include "core/umr.hpp"
 #include "core/umr_policy.hpp"
@@ -65,11 +64,11 @@ int main(int argc, char** argv) {
         rumr_acc.add(simulate(p, rumr, options).makespan);
         core::UmrPolicy umr(p, 1000.0, core::DispatchOrder::kTimetable);
         umr_acc.add(simulate(p, umr, options).makespan);
-        const auto factoring = baselines::make_factoring_policy(p, 1000.0);
+        const auto factoring = config::make_policy("factoring", p, 1000.0, error);
         factoring_acc.add(simulate(p, *factoring, options).makespan);
-        const auto wf = baselines::make_weighted_factoring_policy(p, 1000.0);
+        const auto wf = config::make_policy("wf", p, 1000.0, error);
         wf_acc.add(simulate(p, *wf, options).makespan);
-        const auto gss = baselines::make_gss_policy(p, 1000.0);
+        const auto gss = config::make_policy("gss", p, 1000.0, error);
         gss_acc.add(simulate(p, *gss, options).makespan);
       }
       umr_ratio.add(umr_acc.mean() / rumr_acc.mean());

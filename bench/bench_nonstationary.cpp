@@ -11,7 +11,7 @@
 #include "core/adaptive_rumr.hpp"
 #include "core/rumr.hpp"
 #include "core/umr_policy.hpp"
-#include "baselines/factoring.hpp"
+#include "config/policies.hpp"
 #include "report/table.hpp"
 #include "sim/master_worker.hpp"
 #include "stats/summary.hpp"
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
         core::UmrPolicy umr(p, 1000.0, core::DispatchOrder::kTimetable);
         umr_acc.add(simulate(p, umr, options).makespan);
 
-        const auto factoring = baselines::make_factoring_policy(p, 1000.0);
+        const auto factoring = config::make_policy("factoring", p, 1000.0, 0.0);
         factoring_acc.add(simulate(p, *factoring, options).makespan);
 
         core::AdaptiveRumrPolicy adaptive(p, 1000.0);

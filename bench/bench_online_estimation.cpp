@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                       errors.size(), reps);
 
   const std::vector<sweep::AlgorithmSpec> algorithms{
-      sweep::rumr_spec(), sweep::rumr_adaptive_spec(), sweep::rumr_fixed_spec(80.0)};
+      sweep::rumr_spec(), sweep::rumr_adaptive_spec(), sweep::rumr_fixed_spec(80)};
   const sweep::SweepResult result = run_sweep(sweep::make_grid(grid), algorithms,
                                               bench::bench_sweep_options(settings, errors, reps));
 

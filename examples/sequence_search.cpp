@@ -66,7 +66,7 @@ int main() {
     core::RumrPolicy rumr(grid, dictionary, rumr_options);
     rumr_acc.add(simulate(grid, rumr, options).makespan);
 
-    const auto factoring = baselines::make_factoring_policy(grid, dictionary);
+    const auto factoring = config::make_policy("factoring", grid, dictionary, error);
     factoring_acc.add(simulate(grid, *factoring, options).makespan);
   }
 

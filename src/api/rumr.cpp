@@ -7,6 +7,8 @@
 #include <tuple>
 #include <utility>
 
+#include "util/problems.hpp"
+
 namespace rumr {
 
 Run::Run()
@@ -94,8 +96,14 @@ Run& Run::audit(bool on) {
   return *this;
 }
 
-RunResult Run::execute_one(std::uint64_t rep_seed, bool trace) const {
-  const std::unique_ptr<sim::SchedulerPolicy> policy = config::make_policy(desc_);
+config::PreparedPolicy Run::prepare() const {
+  return config::policy_spec(desc_.algorithm)
+      .prepare(desc_.platform, desc_.w_total, desc_.known_error);
+}
+
+RunResult Run::execute_one(const config::PreparedPolicy& prepared, std::uint64_t rep_seed,
+                           bool trace) const {
+  const std::unique_ptr<sim::SchedulerPolicy> policy = prepared();
   sim::SimOptions options = desc_.sim_options;
   options.seed = rep_seed;
   options.record_trace = trace;
@@ -104,29 +112,26 @@ RunResult Run::execute_one(std::uint64_t rep_seed, bool trace) const {
   out.sim = simulate(desc_.platform, *policy, options);
   out.makespan = out.sim.makespan;
   out.metrics = out.sim.metrics;
-
-  if (audit_) {
-    check::TraceAuditOptions audit_options;
-    audit_options.work_tolerance = options.work_tolerance;
-    audit_options.uplink_channels = options.uplink_channels;
-    check::audit_sim_result(out.sim, desc_.platform, desc_.w_total, audit_options)
-        .throw_if_failed();
-  }
+  if (audit_) check::audit_run(out.sim, desc_.platform, desc_.w_total, options).throw_if_failed();
 
   out.trace = std::move(out.sim.trace);
   return out;
 }
 
 RunResult Run::execute() const {
-  return execute_one(desc_.sim_options.seed, record_trace_);
+  return execute_one(prepare(), desc_.sim_options.seed, record_trace_);
 }
 
 std::vector<RunResult> Run::execute_all() const {
+  // Every repetition runs the same (platform, workload, known error), so
+  // one plan serves them all.
+  const config::PreparedPolicy prepared = prepare();
   std::vector<RunResult> results;
   results.reserve(desc_.repetitions);
   for (std::size_t rep = 0; rep < desc_.repetitions; ++rep) {
     const bool trace = record_trace_ && rep + 1 == desc_.repetitions;
-    results.push_back(execute_one(stats::mix_seed(desc_.sim_options.seed, rep), trace));
+    results.push_back(
+        execute_one(prepared, stats::mix_seed(desc_.sim_options.seed, rep), trace));
   }
   return results;
 }
@@ -259,14 +264,29 @@ jobs::ServiceResult JobsRun::execute() const {
 
 namespace {
 
-/// A spec for a config::make_policy name. Its plan is just the inputs: each
-/// instance is built from them by name, as a single run would build it.
-sweep::AlgorithmSpec named_spec(const std::string& name) {
-  return {name, [name](const platform::StarPlatform& p, double w_total,
-                       double error) -> sweep::PreparedPolicy {
-            return [name, inputs = std::make_shared<const platform::StarPlatform>(p), w_total,
-                    error] { return config::make_policy(name, *inputs, w_total, error); };
-          }};
+/// A by-name line-up: each name that resolves in the policy registry joins
+/// `specs`; each one that does not becomes a problem for validate().
+void lineup_from_names(const std::vector<std::string>& names,
+                       std::vector<sweep::AlgorithmSpec>& specs,
+                       std::vector<std::string>& problems) {
+  specs.clear();
+  problems.clear();
+  for (const std::string& name : names) {
+    if (std::string problem = config::policy_name_problem(name); !problem.empty()) {
+      problems.push_back("policy \"" + name + "\": " + problem);
+    } else {
+      specs.push_back(config::policy_spec(name));
+    }
+  }
+}
+
+/// The line-up's problems: each name that did not resolve, or an empty
+/// line-up when no names were given.
+void add_lineup_problems(std::vector<std::string>& problems,
+                         const std::vector<sweep::AlgorithmSpec>& specs,
+                         const std::vector<std::string>& name_problems) {
+  if (specs.empty() && name_problems.empty()) problems.emplace_back("policy line-up is empty");
+  problems.insert(problems.end(), name_problems.begin(), name_problems.end());
 }
 
 }  // namespace
@@ -297,21 +317,7 @@ Race& Race::policies(std::vector<sweep::AlgorithmSpec> specs) {
 }
 
 Race& Race::policies(const std::vector<std::string>& names) {
-  policies_.clear();
-  policy_problems_.clear();
-  policies_.reserve(names.size());
-  // Same up-front probe as Sweep::policies: report unknown names from
-  // validate() instead of aborting mid-race.
-  const platform::StarPlatform probe =
-      platform::StarPlatform::homogeneous(platform::HomogeneousParams{});
-  for (const std::string& name : names) {
-    try {
-      (void)config::make_policy(name, probe, 100.0, 0.0);
-    } catch (const config::ConfigError& error) {
-      policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
-    }
-    policies_.push_back(named_spec(name));
-  }
+  lineup_from_names(names, policies_, policy_problems_);
   return *this;
 }
 
@@ -377,8 +383,7 @@ race::RaceOptions Race::race_options() const {
 
 std::vector<std::string> Race::validate() const {
   std::vector<std::string> problems = race_options().validate();
-  if (policies_.empty()) problems.emplace_back("policy line-up is empty");
-  for (const std::string& p : policy_problems_) problems.push_back(p);
+  add_lineup_problems(problems, policies_, policy_problems_);
   if (!std::isfinite(error_) || error_ < 0.0) {
     problems.emplace_back("error level must be finite and non-negative");
   }
@@ -388,9 +393,7 @@ std::vector<std::string> Race::validate() const {
 race::RaceResult Race::execute() const {
   const std::vector<std::string> problems = validate();
   if (!problems.empty()) {
-    std::string joined = "invalid Race description:";
-    for (const std::string& p : problems) joined += "\n  - " + p;
-    throw std::invalid_argument(joined);
+    throw std::invalid_argument(util::join_problems("invalid Race description:", problems));
   }
   return race::race_cell(platform_, policies_, error_, race_options());
 }
@@ -431,21 +434,7 @@ Sweep& Sweep::policies(std::vector<sweep::AlgorithmSpec> specs) {
 }
 
 Sweep& Sweep::policies(const std::vector<std::string>& names) {
-  policies_.clear();
-  policy_problems_.clear();
-  policies_.reserve(names.size());
-  // Probe each name once on a throwaway platform so validate() can report
-  // unknown names up front instead of aborting mid-sweep.
-  const platform::StarPlatform probe =
-      platform::StarPlatform::homogeneous(platform::HomogeneousParams{});
-  for (const std::string& name : names) {
-    try {
-      (void)config::make_policy(name, probe, 100.0, 0.0);
-    } catch (const config::ConfigError& error) {
-      policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
-    }
-    policies_.push_back(named_spec(name));
-  }
+  lineup_from_names(names, policies_, policy_problems_);
   return *this;
 }
 
@@ -601,8 +590,7 @@ std::vector<std::string> Sweep::validate() const {
         break;
       }
     }
-    if (policies_.empty()) problems.emplace_back("policy line-up is empty");
-    for (const std::string& p : policy_problems_) problems.push_back(p);
+    add_lineup_problems(problems, policies_, policy_problems_);
     if (faults_.enabled()) {
       problems.emplace_back(
           "worker faults are set but the race engine does not inject faults — "
@@ -651,8 +639,7 @@ std::vector<std::string> Sweep::validate() const {
   } else {
     const sweep::SweepOptions options = closed_options();
     for (std::string& p : options.validate()) problems.push_back(std::move(p));
-    if (policies_.empty()) problems.emplace_back("policy line-up is empty");
-    for (const std::string& p : policy_problems_) problems.push_back(p);
+    add_lineup_problems(problems, policies_, policy_problems_);
     if (jobs_consumer_) {
       problems.emplace_back(
           "an open-system on_cell consumer is set but the sweep is closed-system — "
@@ -690,10 +677,7 @@ std::vector<std::string> Sweep::validate() const {
 
 void Sweep::throw_if_invalid(const char* what) const {
   const std::vector<std::string> problems = validate();
-  if (problems.empty()) return;
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
+  if (!problems.empty()) throw std::invalid_argument(util::join_problems(what, problems));
 }
 
 std::vector<sweep::SweepCell> Sweep::execute() const {

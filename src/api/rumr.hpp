@@ -59,6 +59,7 @@
 #include "check/serve_audit.hpp"
 #include "check/service_audit.hpp"
 #include "check/trace_audit.hpp"
+#include "config/policies.hpp"
 #include "config/run_description.hpp"
 #include "core/adaptive_rumr.hpp"
 #include "core/rumr.hpp"
@@ -125,8 +126,8 @@ class Run {
   Run& platform(platform::StarPlatform p);
   /// Total divisible workload (units). Must be > 0 at execute() time.
   Run& workload(double units);
-  /// Scheduling algorithm name: rumr | rumr-adaptive | umr | umr-eager |
-  /// mi-<x> | factoring | wf | gss | tss | fsc.
+  /// Scheduling algorithm: a config name from the policy registry
+  /// (the table in config/policies.cpp lists them).
   Run& algorithm(std::string name);
   /// Prediction-error magnitude the scheduler is told to plan for.
   Run& known_error(double e);
@@ -177,7 +178,10 @@ class Run {
   [[nodiscard]] std::vector<RunResult> execute_all() const;
 
  private:
-  [[nodiscard]] RunResult execute_one(std::uint64_t rep_seed, bool trace) const;
+  /// The described algorithm's plan for the description's platform.
+  [[nodiscard]] config::PreparedPolicy prepare() const;
+  [[nodiscard]] RunResult execute_one(const config::PreparedPolicy& prepared,
+                                      std::uint64_t rep_seed, bool trace) const;
 
   config::RunDescription desc_;
   bool record_trace_ = false;
@@ -296,8 +300,9 @@ class Race {
   /// Actual prediction-error level driving every repetition.
   Race& error(double e);
   Race& policies(std::vector<sweep::AlgorithmSpec> specs);
-  /// Same vocabulary as Run::algorithm; unknown names are reported by
-  /// validate() rather than thrown here.
+  /// Registry config names, as Run::algorithm; arms carry the display
+  /// names ("RUMR"). Names that do not resolve are reported by validate()
+  /// rather than thrown here.
   Race& policies(const std::vector<std::string>& names);
   Race& workload(double units);
   /// Certification level: P(certified winner is not the best arm) <= delta.
@@ -392,9 +397,9 @@ class Sweep {
 
   Sweep& errors(std::vector<double> axis);
   Sweep& policies(std::vector<sweep::AlgorithmSpec> specs);
-  /// Same vocabulary as Run::algorithm: rumr | rumr-adaptive | umr |
-  /// umr-eager | mi-<x> | factoring | wf | gss | tss | fsc. Unknown names
-  /// are reported by validate() (and execute()) rather than thrown here.
+  /// Registry config names, as Run::algorithm; cells carry the display
+  /// names ("RUMR"). Names that do not resolve are reported by validate()
+  /// (and execute()) rather than thrown here.
   Sweep& policies(const std::vector<std::string>& names);
   Sweep& workload(double units);
   Sweep& distribution(stats::ErrorDistribution d);

@@ -154,9 +154,4 @@ std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(
   return prepare_factoring(w_total, all_workers(platform.size()), options);
 }
 
-std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(
-    const platform::StarPlatform& platform, double w_total) {
-  return std::make_unique<SelfSchedulingPolicy>(prepare_factoring(platform, w_total));
-}
-
 }  // namespace rumr::baselines

@@ -130,8 +130,4 @@ class FactoringPolicy : public SelfSchedulingPolicy {
 [[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_factoring(
     const platform::StarPlatform& platform, double w_total);
 
-/// One run of prepare_factoring's plan.
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(
-    const platform::StarPlatform& platform, double w_total);
-
 }  // namespace rumr::baselines

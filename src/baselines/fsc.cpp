@@ -55,9 +55,4 @@ std::shared_ptr<const SelfSchedulingPlan> prepare_fsc(const platform::StarPlatfo
 FscPolicy::FscPolicy(const platform::StarPlatform& platform, double w_total, double error)
     : SelfSchedulingPolicy(prepare_fsc(platform, w_total, error)) {}
 
-std::unique_ptr<sim::SchedulerPolicy> make_fsc_policy(const platform::StarPlatform& platform,
-                                                      double w_total, double error) {
-  return std::make_unique<FscPolicy>(platform, w_total, error);
-}
-
 }  // namespace rumr::baselines

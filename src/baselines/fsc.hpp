@@ -41,8 +41,4 @@ class FscPolicy : public SelfSchedulingPolicy {
   FscPolicy(const platform::StarPlatform& platform, double w_total, double error);
 };
 
-/// Factory matching make_factoring_policy: one run of prepare_fsc's plan.
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_fsc_policy(
-    const platform::StarPlatform& platform, double w_total, double error);
-
 }  // namespace rumr::baselines

@@ -200,25 +200,4 @@ std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
                                     options);
 }
 
-std::unique_ptr<sim::SchedulerPolicy> make_gss_policy(const platform::StarPlatform& platform,
-                                                      double w_total) {
-  return std::make_unique<SelfSchedulingPolicy>(prepare_gss(platform, w_total));
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(const platform::StarPlatform& platform,
-                                                      double w_total) {
-  return std::make_unique<SelfSchedulingPolicy>(prepare_tss(platform, w_total));
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_css_policy(const platform::StarPlatform& platform,
-                                                      double w_total, double chunk_size) {
-  (void)platform;
-  return std::make_unique<CssPolicy>(w_total, platform.size(), chunk_size);
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_weighted_factoring_policy(
-    const platform::StarPlatform& platform, double w_total) {
-  return std::make_unique<WeightedFactoringPolicy>(prepare_weighted_factoring(platform, w_total));
-}
-
 }  // namespace rumr::baselines

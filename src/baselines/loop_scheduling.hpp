@@ -103,23 +103,13 @@ class WeightedFactoringPolicy : public sim::SchedulerPolicy {
   double total_work_ = 0.0;
 };
 
-/// The plans behind the factories below: floors default to the empty-round
-/// overhead so continuous loads terminate sensibly.
+/// The registry's plans (config/policies.hpp): floors default to the
+/// empty-round overhead so continuous loads terminate sensibly.
 [[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_gss(
     const platform::StarPlatform& platform, double w_total);
 [[nodiscard]] std::shared_ptr<const SelfSchedulingPlan> prepare_tss(
     const platform::StarPlatform& platform, double w_total);
 [[nodiscard]] std::shared_ptr<const WeightedFactoringPlan> prepare_weighted_factoring(
-    const platform::StarPlatform& platform, double w_total);
-
-/// Factories mirroring make_factoring_policy: one run of each plan above.
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_gss_policy(
-    const platform::StarPlatform& platform, double w_total);
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(
-    const platform::StarPlatform& platform, double w_total);
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_css_policy(
-    const platform::StarPlatform& platform, double w_total, double chunk_size);
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_weighted_factoring_policy(
     const platform::StarPlatform& platform, double w_total);
 
 }  // namespace rumr::baselines

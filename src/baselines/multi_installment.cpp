@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -34,6 +35,12 @@ MiSchedule solve_multi_installment(const platform::StarPlatform& platform, doubl
 
   const std::size_t n = platform.size();
   const std::size_t x = installments;
+  // Divides rather than multiplies, so an N*x that overflows is caught too.
+  if (x > kMaxMiUnknowns / n) {
+    throw std::invalid_argument("MI-" + std::to_string(x) + " on " + std::to_string(n) +
+                                " workers exceeds the solver's bound of " +
+                                std::to_string(kMaxMiUnknowns) + " unknowns (N*x)");
+  }
   const std::size_t vars = n * x;
   const auto var = [n](std::size_t j, std::size_t i) { return j * n + i; };
 
@@ -128,11 +135,6 @@ std::shared_ptr<const StaticSequencePlan> prepare_mi(const platform::StarPlatfor
                                                     double w_total, std::size_t installments) {
   const MiSchedule schedule = solve_multi_installment(platform, w_total, installments);
   return make_static_sequence_plan("MI-" + std::to_string(installments), schedule.to_plan());
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_mi_policy(const platform::StarPlatform& platform,
-                                                     double w_total, std::size_t installments) {
-  return std::make_unique<StaticSequencePolicy>(prepare_mi(platform, w_total, installments));
 }
 
 }  // namespace rumr::baselines

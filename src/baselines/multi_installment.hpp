@@ -51,22 +51,24 @@ struct MiSchedule {
   [[nodiscard]] double total() const;
 };
 
+/// Largest MI system solved, in unknowns (N workers x x installments). The
+/// dense LU costs O((N*x)^3), so each doubling past this bound costs 8x the
+/// time (DESIGN.md section 4 has the measurements); the largest system any
+/// caller in the repo builds is 200 (N = 50, MI-4).
+inline constexpr std::size_t kMaxMiUnknowns = 1024;
+
 /// Solves the MI-x schedule for `w_total` units on `platform`.
 ///
 /// Only the speeds and bandwidths of the platform are used (MI models no
 /// latencies). Heterogeneous platforms are supported by the same linear
-/// system. Throws std::invalid_argument for x == 0 or w_total <= 0.
+/// system. Throws std::invalid_argument for x == 0, for w_total <= 0, and
+/// when N*x exceeds kMaxMiUnknowns.
 [[nodiscard]] MiSchedule solve_multi_installment(const platform::StarPlatform& platform,
                                                  double w_total, std::size_t installments);
 
 /// MI-x's plan: the solved schedule as a static dispatch sequence named
 /// "MI-x".
 [[nodiscard]] std::shared_ptr<const StaticSequencePlan> prepare_mi(
-    const platform::StarPlatform& platform, double w_total, std::size_t installments);
-
-/// Convenience: MI-x as a ready-to-simulate policy (one run of prepare_mi's
-/// plan).
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_mi_policy(
     const platform::StarPlatform& platform, double w_total, std::size_t installments);
 
 }  // namespace rumr::baselines

@@ -395,4 +395,12 @@ AuditReport audit_sim_result(const sim::SimResult& result, const platform::StarP
   return report;
 }
 
+AuditReport audit_run(const sim::SimResult& result, const platform::StarPlatform& platform,
+                      double w_total, const sim::SimOptions& options) {
+  TraceAuditOptions audit_options;
+  audit_options.work_tolerance = options.work_tolerance;
+  audit_options.uplink_channels = options.uplink_channels;
+  return audit_sim_result(result, platform, w_total, audit_options);
+}
+
 }  // namespace rumr::check

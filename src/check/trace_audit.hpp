@@ -55,4 +55,11 @@ struct TraceAuditOptions {
                                            const platform::StarPlatform& platform, double w_total,
                                            const TraceAuditOptions& options = {});
 
+/// audit_sim_result with the tolerances the run was configured with
+/// (SimOptions::work_tolerance and uplink_channels): how every engine and
+/// tool audits a run it made.
+[[nodiscard]] AuditReport audit_run(const sim::SimResult& result,
+                                    const platform::StarPlatform& platform, double w_total,
+                                    const sim::SimOptions& options);
+
 }  // namespace rumr::check

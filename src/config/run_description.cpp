@@ -4,14 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "baselines/factoring.hpp"
-#include "baselines/fsc.hpp"
-#include "baselines/loop_scheduling.hpp"
-#include "baselines/multi_installment.hpp"
-#include "core/adaptive_rumr.hpp"
-#include "core/rumr.hpp"
-#include "core/umr_policy.hpp"
-
 namespace rumr::config {
 
 platform::StarPlatform platform_from_config(const ConfigFile& file) {
@@ -136,41 +128,6 @@ RunDescription run_from_config(const ConfigFile& file) {
   run.sim_options = sim_options_from_config(file);
   run.repetitions = std::max<std::size_t>(1, file.get_size("simulation", "repetitions", 1));
   return run;
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_policy(const RunDescription& run) {
-  return make_policy(run.algorithm, run.platform, run.w_total, run.known_error);
-}
-
-std::unique_ptr<sim::SchedulerPolicy> make_policy(const std::string& name,
-                                                  const platform::StarPlatform& platform,
-                                                  double w_total, double known_error) {
-  if (name == "rumr") {
-    core::RumrOptions options;
-    options.known_error = known_error;
-    return std::make_unique<core::RumrPolicy>(platform, w_total, std::move(options));
-  }
-  if (name == "rumr-adaptive") {
-    return std::make_unique<core::AdaptiveRumrPolicy>(platform, w_total);
-  }
-  if (name == "umr") {
-    return std::make_unique<core::UmrPolicy>(platform, w_total, core::DispatchOrder::kTimetable);
-  }
-  if (name == "umr-eager") {
-    return std::make_unique<core::UmrPolicy>(platform, w_total, core::DispatchOrder::kInOrder);
-  }
-  if (name.rfind("mi-", 0) == 0) {
-    const std::size_t installments = static_cast<std::size_t>(
-        std::strtoull(name.c_str() + 3, nullptr, 10));
-    if (installments == 0) throw ConfigError("bad MI installment count in: " + name);
-    return baselines::make_mi_policy(platform, w_total, installments);
-  }
-  if (name == "factoring") return baselines::make_factoring_policy(platform, w_total);
-  if (name == "wf") return baselines::make_weighted_factoring_policy(platform, w_total);
-  if (name == "gss") return baselines::make_gss_policy(platform, w_total);
-  if (name == "tss") return baselines::make_tss_policy(platform, w_total);
-  if (name == "fsc") return baselines::make_fsc_policy(platform, w_total, known_error);
-  throw ConfigError("unknown algorithm: " + name);
 }
 
 }  // namespace rumr::config

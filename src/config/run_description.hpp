@@ -21,8 +21,7 @@
 ///   total = 1000           ; required, > 0
 ///
 ///   [schedule]
-///   algorithm = rumr       ; rumr | rumr-adaptive | umr | umr-eager |
-///                          ;   mi-<x> | factoring | wf | gss | tss | fsc
+///   algorithm = rumr       ; a config name from the registry (config/policies.cpp)
 ///   error = 0.2            ; known/assumed prediction-error magnitude
 ///
 ///   [simulation]
@@ -63,13 +62,11 @@
 ///   [checkpoint]
 ///   interval = 0           ; partial-work banking period (seconds; 0 = off)
 
-#include <memory>
 #include <string>
 
 #include "config/config_file.hpp"
 #include "platform/platform.hpp"
 #include "sim/master_worker.hpp"
-#include "sim/policy.hpp"
 
 namespace rumr::config {
 
@@ -94,17 +91,5 @@ struct RunDescription {
 
 /// Parses the full run description. Throws ConfigError on problems.
 [[nodiscard]] RunDescription run_from_config(const ConfigFile& file);
-
-/// Instantiates the described scheduling policy for the description's
-/// platform and workload. Throws ConfigError for unknown algorithm names.
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_policy(const RunDescription& run);
-
-/// Name-based variant: instantiates algorithm `name` (lower-case, same
-/// vocabulary as [schedule] algorithm) for an arbitrary platform/workload.
-/// The multi-job engine uses this to build a per-job scheduler over each
-/// job's worker share. Throws ConfigError for unknown algorithm names.
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_policy(
-    const std::string& name, const platform::StarPlatform& platform, double w_total,
-    double known_error);
 
 }  // namespace rumr::config

@@ -117,7 +117,7 @@ class Simulator {
 
   /// Highest pending-event count ever reached. Maintained natively (one
   /// compare per schedule) so observability needs no observer on the hot
-  /// path; matches what obs::DesProbe would measure.
+  /// path.
   [[nodiscard]] std::size_t queue_depth_high_water() const noexcept { return high_water_; }
 
   /// Installs (or clears, with nullptr) the audit observer. Not owned.

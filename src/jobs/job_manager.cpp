@@ -11,8 +11,9 @@
 
 #include "analysis/bounds.hpp"
 #include "check/check.hpp"
-#include "config/run_description.hpp"
+#include "config/policies.hpp"
 #include "stats/rng.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::jobs {
 
@@ -42,23 +43,6 @@ const char* to_string(AdmissionPolicy admission) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Algorithm-name vocabulary check mirroring config::make_policy (kept as a
-/// name test so validate() stays side-effect free and cheap).
-bool known_algorithm(const std::string& name) {
-  for (const char* known :
-       {"rumr", "rumr-adaptive", "umr", "umr-eager", "factoring", "wf", "gss", "tss", "fsc"}) {
-    if (name == known) return true;
-  }
-  if (name.rfind("mi-", 0) == 0 && name.size() > 3) {
-    return name.find_first_not_of("0123456789", 3) == std::string::npos && name != "mi-0";
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<std::string> JobsOptions::validate(std::size_t num_workers) const {
   std::vector<std::string> problems = stream.validate();
   const auto complain = [&problems](const auto&... parts) {
@@ -67,7 +51,9 @@ std::vector<std::string> JobsOptions::validate(std::size_t num_workers) const {
     problems.push_back(out.str());
   };
 
-  if (!known_algorithm(algorithm)) complain("jobs: unknown algorithm '", algorithm, "'");
+  if (const std::string problem = config::policy_name_problem(algorithm); !problem.empty()) {
+    complain("jobs: ", problem);
+  }
   if (!(known_error >= 0.0)) complain("jobs: known_error must be >= 0, got ", known_error);
   if (sharing == SharingPolicy::kPartitioned) {
     if (partitions == 0) complain("jobs: partitions must be >= 1");
@@ -496,9 +482,7 @@ class JobManager {
 ServiceResult run_jobs(const platform::StarPlatform& platform, const JobsOptions& options) {
   const std::vector<std::string> problems = options.validate(platform.size());
   if (!problems.empty()) {
-    std::string joined = "invalid jobs options:";
-    for (const std::string& p : problems) joined += "\n  - " + p;
-    throw std::invalid_argument(joined);
+    throw std::invalid_argument(util::join_problems("invalid jobs options:", problems));
   }
   JobManager manager(platform, options);
   return manager.run();

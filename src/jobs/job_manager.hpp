@@ -90,8 +90,8 @@ struct JobsOptions {
   /// at most (every in-service job always holds >= 1 worker).
   std::size_t max_degree = 0;
 
-  /// Per-job scheduler run on the job's worker share: rumr | rumr-adaptive |
-  /// umr | umr-eager | mi-<x> | factoring | wf | gss | tss | fsc.
+  /// Per-job scheduler run on the job's worker share: a config name from
+  /// the policy registry (config/policies.cpp).
   std::string algorithm = "rumr";
   double known_error = 0.0;  ///< Error magnitude the scheduler is told.
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "faults/fault_model.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::jobs {
 
@@ -68,9 +69,7 @@ JobStream::JobStream(const JobStreamSpec& spec, std::uint64_t seed)
     : spec_(spec), rng_(stats::mix_seed(seed, 0x1065'57EAULL)) {
   const std::vector<std::string> problems = spec.validate();
   if (!problems.empty()) {
-    std::string joined = "invalid job stream:";
-    for (const std::string& p : problems) joined += "\n  - " + p;
-    throw std::invalid_argument(joined);
+    throw std::invalid_argument(util::join_problems("invalid job stream:", problems));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "config/run_description.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::jobs {
 
@@ -82,9 +83,7 @@ JobsOptions jobs_options_from_config(const config::ConfigFile& file,
 
   const std::vector<std::string> problems = options.validate(platform.size());
   if (!problems.empty()) {
-    std::string joined = "invalid [jobs] description:";
-    for (const std::string& p : problems) joined += "\n  - " + p;
-    throw config::ConfigError(joined);
+    throw config::ConfigError(util::join_problems("invalid [jobs] description:", problems));
   }
   return options;
 }

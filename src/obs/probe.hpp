@@ -3,54 +3,22 @@
 /// \file probe.hpp
 /// Live collectors the simulation engine drives while a run executes.
 ///
-/// DesProbe watches the DES kernel through the des::EventObserver hooks and
-/// tracks the pending-queue depth high-water mark. The kernel now maintains
-/// that statistic natively (Simulator::queue_depth_high_water), so the engine
-/// no longer attaches a DesProbe; it remains for consumers who want
-/// observer-driven accounting on their own simulators. EngineProbe is a per-worker
-/// state machine plus uplink occupancy accounting: the engine reports every
-/// state transition (compute start/end/abort, outage start/end, channel
-/// acquire/release, rendezvous block/unblock) and the probe partitions
-/// [0, makespan] into the buckets RunMetrics reports.
+/// EngineProbe is a per-worker state machine plus uplink occupancy
+/// accounting: the engine reports every state transition (compute
+/// start/end/abort, outage start/end, channel acquire/release, rendezvous
+/// block/unblock) and the probe partitions [0, makespan] into the buckets
+/// RunMetrics reports. The DES kernel's own statistics (event counts,
+/// queue-depth high-water mark) are native counters on des::Simulator.
 ///
-/// Both probes are O(1) per transition, allocate only at construction, and
-/// never touch the RNG — instrumented runs stay byte-identical.
+/// The probe is O(1) per transition, allocates only at construction, and
+/// never touches the RNG — instrumented runs stay byte-identical.
 
 #include <cstddef>
 #include <vector>
 
-#include "des/simulator.hpp"
 #include "obs/metrics.hpp"
 
 namespace rumr::obs {
-
-/// Kernel-side probe: queue-depth high-water mark via the observer hooks.
-class DesProbe final : public des::EventObserver {
- public:
-  void on_schedule(des::EventId id, des::SimTime requested, des::SimTime now) override {
-    (void)id;
-    (void)requested;
-    (void)now;
-    ++pending_;
-    if (pending_ > high_water_) high_water_ = pending_;
-  }
-  void on_execute(des::EventId id, des::SimTime at) override {
-    (void)id;
-    (void)at;
-    --pending_;
-  }
-  void on_cancel(des::EventId id, bool was_pending) override {
-    (void)id;
-    if (was_pending) --pending_;
-  }
-
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-  [[nodiscard]] std::size_t queue_depth_high_water() const noexcept { return high_water_; }
-
- private:
-  std::size_t pending_ = 0;
-  std::size_t high_water_ = 0;
-};
 
 /// Engine-side probe: uplink occupancy + per-worker time partitioning.
 class EngineProbe {

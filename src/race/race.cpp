@@ -14,6 +14,7 @@
 #include "sim/master_worker.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/thread_pool.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::race {
 
@@ -36,9 +37,7 @@ std::vector<std::string> RaceOptions::validate() const {
 namespace {
 
 void throw_invalid(const char* what, const std::vector<std::string>& problems) {
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
+  throw std::invalid_argument(util::join_problems(what, problems));
 }
 
 /// The successive-elimination loop. Samples every active arm in synchronized
@@ -213,10 +212,7 @@ RaceResult race_cell(const sweep::SweepPlatform& platform,
     sim_options.seed = seed;
     const sim::SimResult sim_result = sim::simulate(platform.platform, *policy, sim_options);
     if (options.audit_runs) {
-      check::TraceAuditOptions audit_options;
-      audit_options.work_tolerance = sim_options.work_tolerance;
-      audit_options.uplink_channels = sim_options.uplink_channels;
-      check::audit_sim_result(sim_result, platform.platform, options.w_total, audit_options)
+      check::audit_run(sim_result, platform.platform, options.w_total, sim_options)
           .throw_if_failed();
     }
     return sim_result.makespan / lower_bound;

@@ -6,10 +6,11 @@
 #include <utility>
 
 #include "check/trace_audit.hpp"
-#include "config/run_description.hpp"
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 #include "sim/trace.hpp"
 #include "util/json_lite.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::serve {
 namespace {
@@ -54,15 +55,6 @@ std::string serialize_plan(const sim::SimResult& result, std::uint64_t fingerpri
   return plan;
 }
 
-std::string join_problems(const std::vector<std::string>& problems) {
-  std::string joined = "invalid serve options:";
-  for (const std::string& problem : problems) {
-    joined += "\n  - ";
-    joined += problem;
-  }
-  return joined;
-}
-
 }  // namespace
 
 std::vector<std::string> ServerOptions::validate() const {
@@ -81,7 +73,9 @@ Server::Server(const ServerOptions& options)
                               options.cache_shards == 0 ? 1 : options.cache_shards}),
       pool_(options.threads) {
   const std::vector<std::string> problems = options.validate();
-  if (!problems.empty()) throw std::invalid_argument(join_problems(problems));
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid serve options:", problems));
+  }
 }
 
 Server::~Server() { wait_idle(); }
@@ -279,10 +273,7 @@ std::string Server::solve_query(const Query& query, std::uint64_t fingerprint) {
   sim_options.worker_buffer_capacity = query.worker_buffer_capacity;
   const sim::SimResult result = sim::simulate(platform, *policy, sim_options);
   if (options_.audit) {
-    check::TraceAuditOptions audit_options;
-    audit_options.work_tolerance = sim_options.work_tolerance;
-    audit_options.uplink_channels = sim_options.uplink_channels;
-    check::audit_sim_result(result, platform, query.workload, audit_options).throw_if_failed();
+    check::audit_run(result, platform, query.workload, sim_options).throw_if_failed();
   }
   return serialize_plan(result, fingerprint);
 }

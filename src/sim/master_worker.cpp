@@ -10,6 +10,7 @@
 
 #include "check/check.hpp"
 #include "util/flat_fifo.hpp"
+#include "util/problems.hpp"
 #include "des/simulator.hpp"
 #include "obs/probe.hpp"
 #include "stats/rng.hpp"
@@ -193,9 +194,7 @@ class Engine final : public MasterContext {
         chunk_hist_(obs::Histogram::exponential(kChunkHistFirstEdge, 2.0, kHistBuckets)),
         comp_hist_(obs::Histogram::exponential(kCompHistFirstEdge, 2.0, kHistBuckets)) {
     if (const std::vector<std::string> errors = options.validate(); !errors.empty()) {
-      std::string joined = "invalid SimOptions:";
-      for (const std::string& e : errors) joined += "\n  - " + e;
-      throw SimError(joined);
+      throw SimError(util::join_problems("invalid SimOptions:", errors));
     }
     // No observer is attached: the kernel maintains every metric we report
     // (schedule/execute/cancel counts, queue-depth high-water) natively, so

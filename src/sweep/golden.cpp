@@ -24,13 +24,7 @@ namespace {
 
 /// The paper-figure algorithm line-up the fixtures pin down.
 std::vector<AlgorithmSpec> golden_lineup() {
-  std::vector<AlgorithmSpec> specs;
-  specs.push_back(umr_spec());
-  specs.push_back(rumr_spec());
-  specs.push_back(factoring_spec());
-  specs.push_back(mi_spec(2));
-  specs.push_back(weighted_factoring_spec());
-  return specs;
+  return {umr_spec(), rumr_spec(), factoring_spec(), mi_spec(2), weighted_factoring_spec()};
 }
 
 /// Full scenario definition: platform + workload + error + seed + faults.
@@ -297,12 +291,8 @@ GoldenScenario record_race_scenario(const ScenarioDef& def) {
   scenario.error = def.error;
   scenario.seed = def.seed;
 
-  std::vector<AlgorithmSpec> arms;
-  arms.push_back(rumr_spec());
-  arms.push_back(rumr_fixed_spec(50.0));
-  arms.push_back(umr_spec());
-  arms.push_back(factoring_spec());
-  arms.push_back(fsc_spec());
+  const std::vector<AlgorithmSpec> arms = {rumr_spec(), rumr_fixed_spec(50), umr_spec(),
+                                           factoring_spec(), fsc_spec()};
 
   race::RaceOptions options;
   options.block = 16;
@@ -360,7 +350,7 @@ GoldenScenario record_scenario(const std::string& name) {
     const sim::SimResult result = sim::simulate(platform, *policy, options);
 
     // A fingerprint of a run that violates its own invariants is worthless.
-    check::audit_sim_result(result, platform, def.w_total).throw_if_failed();
+    check::audit_run(result, platform, def.w_total, options).throw_if_failed();
 
     GoldenCase c;
     c.algorithm = spec.name;

@@ -14,6 +14,7 @@
 #include "sim/master_worker.hpp"
 #include "stats/rng.hpp"
 #include "sweep/thread_pool.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::sweep {
 
@@ -115,9 +116,7 @@ sim::SimOptions make_sim_options(double error, std::uint64_t seed,
 }
 
 void throw_invalid(const char* what, const std::vector<std::string>& problems) {
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
+  throw std::invalid_argument(util::join_problems(what, problems));
 }
 
 /// Shards per site: how many rep-blocks a (platform, axis) site splits into.
@@ -209,10 +208,7 @@ ClosedPartial run_closed_shard(const SweepPlatform& site, double error, std::siz
       makespans[a] = sim_result.makespan;
 
       if (options.audit_runs) {
-        check::TraceAuditOptions audit_options;
-        audit_options.work_tolerance = sim_options.work_tolerance;
-        audit_options.uplink_channels = sim_options.uplink_channels;
-        check::audit_sim_result(sim_result, site.platform, options.w_total, audit_options)
+        check::audit_run(sim_result, site.platform, options.w_total, sim_options)
             .throw_if_failed();
       }
 

@@ -1,57 +1,28 @@
 #pragma once
 
 /// \file scheduler_factory.hpp
-/// Named factories for every scheduling algorithm in the evaluation, so the
-/// sweep runner and the bench harnesses share one definition of each
-/// competitor.
-///
-/// The factory receives the true error level of the experiment: RUMR and FSC
-/// are given it (the paper's "error is known" setting — see section 4.2);
-/// UMR, MI-x and Factoring ignore it by construction.
-///
-/// Construction is split in two. `prepare` solves the algorithm's schedule
-/// once, from the platform parameters alone — as the paper's UMR and MI-x
-/// are "precalculated at the onset of the application" — and returns an
-/// immutable plan; each call of the result is one run's policy, a cursor over
-/// that plan. A sweep site or a raced cell prepares once and runs many.
+/// The evaluation's line-ups, drawn from the policy registry
+/// (config/policies.hpp), so the sweep runner, the racer and the bench
+/// harnesses share one definition of each competitor. Every factory below
+/// is a registry lookup; the registry says what each algorithm is and how
+/// its plan is prepared.
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "platform/platform.hpp"
-#include "sim/policy.hpp"
+#include "config/policies.hpp"
 
 namespace rumr::sweep {
 
-/// A prepared policy: each call returns a fresh per-run instance over one
-/// plan. The plan is immutable, so calls may run concurrently from any
-/// number of threads; an instance belongs to one run.
-using PreparedPolicy = std::function<std::unique_ptr<sim::SchedulerPolicy>()>;
-
-/// A named scheduling algorithm.
-struct AlgorithmSpec {
-  std::string name;
-  /// Solves the plan for one (platform, workload, error) site.
-  std::function<PreparedPolicy(const platform::StarPlatform& platform, double w_total,
-                               double error)>
-      prepare;
-
-  /// One run's policy from a freshly prepared plan: equal to every instance
-  /// of prepare(platform, w_total, error).
-  [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make(const platform::StarPlatform& platform,
-                                                           double w_total, double error) const {
-    return prepare(platform, w_total, error)();
-  }
-};
+using PreparedPolicy = config::PreparedPolicy;
+using AlgorithmSpec = config::AlgorithmSpec;
 
 /// RUMR with the error level known (original RUMR of the paper).
 [[nodiscard]] AlgorithmSpec rumr_spec();
 /// RUMR with in-order (plain UMR) phase 1 — the Figure 7 ablation.
 [[nodiscard]] AlgorithmSpec rumr_inorder_spec();
 /// RUMR scheduling a fixed percentage of the workload in phase 1 — Figure 6.
-[[nodiscard]] AlgorithmSpec rumr_fixed_spec(double phase1_percent);
+[[nodiscard]] AlgorithmSpec rumr_fixed_spec(std::size_t phase1_percent);
 /// RUMR with on-line error estimation (extension).
 [[nodiscard]] AlgorithmSpec rumr_adaptive_spec();
 /// Plain UMR (Yang & Casanova, IPDPS'03).
@@ -62,11 +33,6 @@ struct AlgorithmSpec {
 [[nodiscard]] AlgorithmSpec factoring_spec();
 /// Fixed-Size Chunking (Hagerup / Kruskal-Weiss).
 [[nodiscard]] AlgorithmSpec fsc_spec();
-
-/// Guided Self-Scheduling (Polychronopoulos & Kuck 1987).
-[[nodiscard]] AlgorithmSpec gss_spec();
-/// Trapezoid Self-Scheduling (Tzen & Ni 1993).
-[[nodiscard]] AlgorithmSpec tss_spec();
 /// Weighted Factoring (Flynn Hummel et al. 1996).
 [[nodiscard]] AlgorithmSpec weighted_factoring_spec();
 

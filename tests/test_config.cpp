@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "config/config_file.hpp"
+#include "config/policies.hpp"
 #include "config/run_description.hpp"
 #include "sim/master_worker.hpp"
 
@@ -195,12 +196,17 @@ TEST(RunDescription, RejectsBadDistribution) {
   EXPECT_THROW((void)run_from_config(ConfigFile::parse(text)), ConfigError);
 }
 
+/// The described run's policy, built by name through the registry.
+std::unique_ptr<sim::SchedulerPolicy> policy_for(const RunDescription& run) {
+  return make_policy(run.algorithm, run.platform, run.w_total, run.known_error);
+}
+
 TEST(RunDescription, EveryAlgorithmNameInstantiatesAndRuns) {
   for (const char* name : {"rumr", "rumr-adaptive", "umr", "umr-eager", "mi-1", "mi-3",
                            "factoring", "wf", "gss", "tss", "fsc"}) {
     RunDescription run = run_from_config(ConfigFile::parse(kSample));
     run.algorithm = name;
-    const auto policy = make_policy(run);
+    const auto policy = policy_for(run);
     ASSERT_NE(policy, nullptr) << name;
     const sim::SimResult r = simulate(run.platform, *policy, run.sim_options);
     EXPECT_NEAR(r.work_dispatched, 400.0, 1e-6) << name;
@@ -210,9 +216,9 @@ TEST(RunDescription, EveryAlgorithmNameInstantiatesAndRuns) {
 TEST(RunDescription, RejectsUnknownAlgorithm) {
   RunDescription run = run_from_config(ConfigFile::parse(kSample));
   run.algorithm = "quantum-annealing";
-  EXPECT_THROW((void)make_policy(run), ConfigError);
+  EXPECT_THROW((void)policy_for(run), ConfigError);
   run.algorithm = "mi-0";
-  EXPECT_THROW((void)make_policy(run), ConfigError);
+  EXPECT_THROW((void)policy_for(run), ConfigError);
 }
 
 }  // namespace

@@ -139,5 +139,20 @@ TEST(Simulator, PendingCountExcludesCancelled) {
   EXPECT_EQ(sim.events_pending(), 1u);
 }
 
+TEST(Simulator, TracksQueueDepthHighWater) {
+  Simulator sim;
+  // Three pending at once; the cancel leaves the queue at once, and the
+  // high-water mark survives the drain.
+  sim.schedule_at(1.0, [] {});
+  sim.schedule_at(2.0, [] {});
+  const EventId cancelled = sim.schedule_at(3.0, [] {});
+  EXPECT_EQ(sim.queue_depth_high_water(), 3u);
+  sim.cancel(cancelled);
+  EXPECT_EQ(sim.events_pending(), 2u);
+  sim.run();
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.queue_depth_high_water(), 3u);
+}
+
 }  // namespace
 }  // namespace rumr::des

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -87,26 +86,13 @@ std::string fingerprint(const sweep::AlgorithmSpec& spec, const platform::StarPl
   return out.str();
 }
 
-std::vector<sweep::AlgorithmSpec> evaluation_lineup() {
-  std::vector<sweep::AlgorithmSpec> specs = sweep::extended_competitors();
-  for (auto& s : sweep::loop_family_competitors()) specs.push_back(std::move(s));
-  specs.push_back(sweep::rumr_inorder_spec());
-  specs.push_back(sweep::rumr_adaptive_spec());
-
-  std::vector<sweep::AlgorithmSpec> unique;
-  std::map<std::string, bool> seen;
-  for (auto& s : specs) {
-    if (seen.emplace(s.name, true).second) unique.push_back(std::move(s));
-  }
-  return unique;
-}
-
 TEST(Determinism, EverySchedulerReplaysByteIdentically) {
   const auto p = platform::StarPlatform::homogeneous({.workers = 8, .speed = 1.0,
                                                       .bandwidth = 12.0, .comp_latency = 0.05,
                                                       .comm_latency = 0.02,
                                                       .transfer_latency = 0.01});
-  for (const sweep::AlgorithmSpec& spec : evaluation_lineup()) {
+  for (const std::string& name : config::policy_names()) {
+    const sweep::AlgorithmSpec spec = config::policy_spec(name);
     const std::string first = fingerprint(spec, p, 500.0, 0.3, 42);
     const std::string second = fingerprint(spec, p, 500.0, 0.3, 42);
     EXPECT_EQ(first, second) << spec.name << " replay diverged";

@@ -8,6 +8,7 @@
 
 #include <numeric>
 
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
 namespace rumr::baselines {
@@ -136,7 +137,7 @@ TEST(FactoringPolicy, FactoryUsesOverheadFloor) {
   const platform::StarPlatform p = platform::StarPlatform::homogeneous(
       {.workers = 10, .speed = 1.0, .bandwidth = 15.0, .comp_latency = 0.5,
        .comm_latency = 0.5});
-  const auto policy = make_factoring_policy(p, 1000.0);
+  const auto policy = config::make_policy("factoring", p, 1000.0, 0.0);
   EXPECT_EQ(policy->name(), "Factoring");
   const auto* self = dynamic_cast<const SelfSchedulingPolicy*>(policy.get());
   ASSERT_NE(self, nullptr);

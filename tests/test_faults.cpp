@@ -17,6 +17,7 @@
 #include "baselines/loop_scheduling.hpp"
 #include "baselines/multi_installment.hpp"
 #include "check/trace_audit.hpp"
+#include "config/policies.hpp"
 #include "core/rumr.hpp"
 #include "core/umr_policy.hpp"
 #include "faults/fault_model.hpp"
@@ -336,7 +337,7 @@ TEST(FaultSim, RumrCompletesUnderFailStop) {
 
 TEST(FaultSim, MultiInstallmentFallsBackToSurvivors) {
   const auto platform = uniform_platform(3, 10.0);
-  const auto policy = baselines::make_mi_policy(platform, 120.0, 3);
+  const auto policy = config::make_policy("mi-3", platform, 120.0, 0.0);
   const auto options = fault_options(faults::FaultSpec::scripted({{0, {1.0, kInf}}}));
 
   const sim::SimResult result = simulate(platform, *policy, options);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
 namespace rumr::baselines {
@@ -78,7 +79,7 @@ TEST(FscPolicy, AllChunksEqualExceptLast) {
 
 TEST(FscPolicy, FactoryProducesPolicy) {
   const platform::StarPlatform p = paperish();
-  const auto policy = make_fsc_policy(p, 500.0, 0.2);
+  const auto policy = config::make_policy("fsc", p, 500.0, 0.2);
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions{});
   EXPECT_NEAR(r.work_dispatched, 500.0, 1e-6);
 }

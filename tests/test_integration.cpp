@@ -120,7 +120,7 @@ TEST(Integration, FixedSplitIsReasonableDefault) {
   SweepOptions options;
   options.errors = {0.1, 0.3, 0.5};
   options.repetitions = 20;
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), rumr_fixed_spec(80.0)};
+  const std::vector<AlgorithmSpec> algos{rumr_spec(), rumr_fixed_spec(80)};
   const SweepResult res = run_sweep(make_grid(spec), algos, options);
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     EXPECT_LT(res.mean_normalized_makespan(e, 1), 1.35);

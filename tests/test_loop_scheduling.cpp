@@ -7,6 +7,7 @@
 
 #include <numeric>
 
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
 namespace rumr::baselines {
@@ -55,7 +56,7 @@ TEST(Gss, RespectsFloor) {
 
 TEST(Gss, PolicyRunsAndConserves) {
   const platform::StarPlatform p = paperish();
-  const auto policy = make_gss_policy(p, 800.0);
+  const auto policy = config::make_policy("gss", p, 800.0, 0.0);
   EXPECT_EQ(policy->name(), "GSS");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.3, 5));
   EXPECT_NEAR(r.work_dispatched, 800.0, 1e-6);
@@ -102,7 +103,7 @@ TEST(Tss, NeverEmitsBelowLastExceptAbsorber) {
 
 TEST(Tss, PolicyRunsAndConserves) {
   const platform::StarPlatform p = paperish();
-  const auto policy = make_tss_policy(p, 800.0);
+  const auto policy = config::make_policy("tss", p, 800.0, 0.0);
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.2, 9));
   EXPECT_NEAR(r.work_dispatched, 800.0, 1e-6);
 }
@@ -156,7 +157,7 @@ TEST(WeightedFactoring, RejectsBadWeights) {
 TEST(WeightedFactoring, PolicyRunsOnHeterogeneousPlatform) {
   const platform::StarPlatform p(
       {{1.0, 8.0, 0.1, 0.05, 0.0}, {3.0, 16.0, 0.1, 0.05, 0.0}, {2.0, 12.0, 0.1, 0.05, 0.0}});
-  const auto policy = make_weighted_factoring_policy(p, 600.0);
+  const auto policy = config::make_policy("wf", p, 600.0, 0.0);
   EXPECT_EQ(policy->name(), "WF");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.25, 3));
   EXPECT_NEAR(r.work_dispatched, 600.0, 1e-6);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
 namespace rumr::baselines {
@@ -21,6 +22,15 @@ TEST(MultiInstallment, RejectsBadArguments) {
   const platform::StarPlatform p = latency_free(4, 1.0, 6.0);
   EXPECT_THROW((void)solve_multi_installment(p, 1000.0, 0), std::invalid_argument);
   EXPECT_THROW((void)solve_multi_installment(p, 0.0, 1), std::invalid_argument);
+}
+
+TEST(MultiInstallment, RejectsSystemsPastTheUnknownsBound) {
+  const platform::StarPlatform p = latency_free(4, 1.0, 6.0);
+  EXPECT_THROW((void)solve_multi_installment(p, 1000.0, kMaxMiUnknowns / 4 + 1),
+               std::invalid_argument);
+  // N*x that wraps around 2^64 to a small number is rejected too.
+  EXPECT_THROW((void)solve_multi_installment(p, 1000.0, (std::size_t{1} << 62) + 1),
+               std::invalid_argument);
 }
 
 TEST(MultiInstallment, Mi1MatchesClosedFormGeometricSolution) {
@@ -139,7 +149,7 @@ TEST(MultiInstallment, PolicyExecutesOnLatencyfulPlatform) {
   const platform::StarPlatform p = platform::StarPlatform::homogeneous(
       {.workers = 5, .speed = 1.0, .bandwidth = 8.0, .comp_latency = 0.3,
        .comm_latency = 0.2});
-  const auto policy = make_mi_policy(p, 500.0, 3);
+  const auto policy = config::make_policy("mi-3", p, 500.0, 0.0);
   EXPECT_EQ(policy->name(), "MI-3");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions{});
   EXPECT_NEAR(r.work_dispatched, 500.0, 1e-6);

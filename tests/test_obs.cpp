@@ -10,7 +10,6 @@
 
 #include "core/rumr.hpp"
 #include "core/umr_policy.hpp"
-#include "des/simulator.hpp"
 #include "obs/accumulators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
@@ -142,22 +141,6 @@ TEST(Histogram, ExponentialEdgesGrowGeometrically) {
   EXPECT_DOUBLE_EQ(h.upper_edges()[1], 2.0);
   EXPECT_DOUBLE_EQ(h.upper_edges()[2], 4.0);
   EXPECT_DOUBLE_EQ(h.upper_edges()[3], 8.0);
-}
-
-TEST(DesProbe, TracksQueueDepthHighWater) {
-  des::Simulator sim;
-  obs::DesProbe probe;
-  sim.set_observer(&probe);
-  // Three pending at once, then drained; one extra scheduled from a handler.
-  sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  const des::EventId cancelled = sim.schedule_at(3.0, [] {});
-  EXPECT_EQ(probe.queue_depth_high_water(), 3u);
-  sim.cancel(cancelled);
-  EXPECT_EQ(probe.pending(), 2u);
-  sim.run();
-  EXPECT_EQ(probe.pending(), 0u);
-  EXPECT_EQ(probe.queue_depth_high_water(), 3u);
 }
 
 TEST(EngineProbe, PartitionsWorkerTime) {

@@ -27,29 +27,43 @@ struct PropertyCase {
 
 class AllSchedulers : public ::testing::TestWithParam<std::size_t> {
  public:
+  /// Every algorithm in the policy registry, each family at its evaluated
+  /// members. The first 18 keep the order and labels of the hand-assembled
+  /// line-up that preceded the registry (RUMR-80 ran as "RUMR-80fixed"), so
+  /// test ids stay stable; registry entries beyond them are appended.
   static const std::vector<PropertyCase>& cases() {
     static const std::vector<PropertyCase> all = [] {
-      std::vector<PropertyCase> cs;
-      for (AlgorithmSpec& spec : extended_competitors()) {
-        cs.push_back({spec.name, std::move(spec)});
-      }
-      cs.push_back({"RUMR-adaptive", rumr_adaptive_spec()});
-      cs.push_back({"RUMR-80fixed", rumr_fixed_spec(80.0)});
-      cs.push_back({"RUMR-inorder", rumr_inorder_spec()});
-      // The racing and loop-family line-ups, each algorithm once.
-      for (std::vector<AlgorithmSpec> lineup : {racing_competitors(), loop_family_competitors()}) {
-        for (AlgorithmSpec& spec : lineup) {
-          const bool seen = std::any_of(cs.begin(), cs.end(), [&](const PropertyCase& c) {
-            return c.spec.name == spec.name;
-          });
-          if (!seen) cs.push_back({spec.name, std::move(spec)});
+      std::vector<std::string> names = {"rumr", "umr", "mi-1", "mi-2", "mi-3", "mi-4",
+                                        "factoring", "fsc", "rumr-adaptive", "rumr-80",
+                                        "rumr-inorder", "rumr-50", "rumr-60", "rumr-70",
+                                        "rumr-90", "wf", "gss", "tss"};
+      for (std::string& name : config::policy_names()) {
+        if (std::find(names.begin(), names.end(), name) == names.end()) {
+          names.push_back(std::move(name));
         }
+      }
+      std::vector<PropertyCase> cs;
+      for (const std::string& name : names) {
+        AlgorithmSpec spec = config::policy_spec(name);
+        std::string label = name == "rumr-80" ? "RUMR-80fixed" : spec.name;
+        cs.push_back({std::move(label), std::move(spec)});
       }
       return cs;
     }();
     return all;
   }
 };
+
+TEST(AllSchedulersLineup, CoversEveryRegistryName) {
+  const std::vector<std::string> names = config::policy_names();
+  ASSERT_EQ(AllSchedulers::cases().size(), names.size());
+  for (const std::string& name : names) {
+    const std::string display = config::policy_spec(name).name;
+    EXPECT_TRUE(std::any_of(AllSchedulers::cases().begin(), AllSchedulers::cases().end(),
+                            [&](const PropertyCase& c) { return c.spec.name == display; }))
+        << name;
+  }
+}
 
 /// Draws a random homogeneous platform inside (a superset of) the Table 1
 /// ranges plus a random workload and error.

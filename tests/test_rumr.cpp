@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/factoring.hpp"
+#include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
 namespace rumr::core {
@@ -182,7 +182,7 @@ TEST(RumrPolicy, HeterogeneousBeatsPlainFactoringUnderError) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     RumrPolicy rumr(p, 1000.0, with_error(0.3));
     rumr_total += simulate(p, rumr, sim::SimOptions::with_error(0.3, seed)).makespan;
-    const auto factoring = baselines::make_factoring_policy(p, 1000.0);
+    const auto factoring = config::make_policy("factoring", p, 1000.0, 0.3);
     factoring_total += simulate(p, *factoring, sim::SimOptions::with_error(0.3, seed)).makespan;
   }
   EXPECT_LT(rumr_total, factoring_total);

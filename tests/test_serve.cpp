@@ -507,6 +507,44 @@ TEST(ServeServer, StreamSessionAnswersInRequestOrder) {
   EXPECT_EQ(server.stats().plan_cache.hits, 2u);
 }
 
+TEST(ServeServer, OversizedMiQueriesGetNamedErrorsAndTheBatchIsAnswered) {
+  // Frame 1: an installment count past 2^63, whose N*x wraps around to a
+  // tiny matrix that an unchecked solve would write far outside; the
+  // registry's parser rejects it. Frame 2: a count the parser accepts whose
+  // N*x exceeds the solver's bound, so the solver rejects it. Each error
+  // stays in its slot.
+  const std::string overflow =
+      "{\"id\":2,\"type\":\"batch\",\"queries\":[{\"platform\":{\"homogeneous\":"
+      "{\"workers\":2}},\"workload\":100,\"algorithm\":\"mi-9223372036854775809\","
+      "\"seed\":1}," + query_json(5) + "]}";
+  const std::string too_large = batch_json(3, {query_json(6), query_json(6, "mi-1000")});
+  std::stringstream in;
+  write_frame(in, overflow);
+  write_frame(in, too_large);
+
+  std::stringstream out;
+  Server server{ServerOptions{}};
+  server.serve_stream(in, out);
+
+  std::vector<std::string> responses;
+  while (auto frame = read_frame(out)) responses.push_back(*std::move(frame));
+  ASSERT_EQ(responses.size(), 2u);
+  const std::string& first = responses[0];
+  EXPECT_NE(first.find("{\"error\":\"bad MI installment count in: mi-9223372036854775809"),
+            std::string::npos)
+      << first;
+  EXPECT_LT(first.find("\"error\""), first.find("\"makespan\":")) << first;
+  const std::string& second = responses[1];
+  EXPECT_NE(second.find("\"makespan\":"), std::string::npos) << second;
+  EXPECT_NE(second.find("MI-1000 on 4 workers exceeds the solver's bound"), std::string::npos)
+      << second;
+  EXPECT_LT(second.find("\"makespan\":"), second.find("\"error\"")) << second;
+
+  const obs::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.plan_cache.failed_solves, 2u);
+  EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
+}
+
 TEST(ServeServer, StreamSessionClosesOnFatalFramingError) {
   std::stringstream in;
   write_frame(in, "{\"type\":\"ping\",\"id\":1}");

@@ -117,7 +117,7 @@ RunRecord run_cell(const Scenario& scenario, const sweep::AlgorithmSpec& spec,
   const auto policy = spec.make(platform, kWTotal, scenario.point.error);
   try {
     const sim::SimResult result = simulate(platform, *policy, options);
-    const check::AuditReport audit = check::audit_sim_result(result, platform, kWTotal);
+    const check::AuditReport audit = check::audit_run(result, platform, kWTotal, options);
     record.ok = audit.ok();
     if (!record.ok) record.failure = audit.summary();
     record.makespan = result.makespan;

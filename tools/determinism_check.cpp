@@ -8,12 +8,12 @@
 //      order, with many equal timestamps, must execute in (time, insertion
 //      sequence) order — and the kernel must pass a SimulatorAuditor
 //      (monotonicity, no-schedule-in-the-past, event conservation at drain).
-//   2. Scheduler replay audit: every scheduling algorithm in the evaluation
-//      (core + baselines) runs twice on the same run description, and twice
-//      more as two instances of one prepared plan (AlgorithmSpec::prepare);
-//      the JSON traces and result fingerprints must match byte for byte. The
-//      first run is additionally passed through the rumr::check
-//      work-conservation auditor.
+//   2. Scheduler replay audit: every algorithm in the policy registry (each
+//      family at its evaluated members) runs twice on the same run
+//      description, and twice more as two instances of one prepared plan
+//      (AlgorithmSpec::prepare); the JSON traces and result fingerprints must
+//      match byte for byte. The first run is additionally passed through the
+//      rumr::check work-conservation auditor.
 //   3. Multi-job replay audit: the open-system engine (rumr::jobs) runs the
 //      same Poisson stream twice under each platform-sharing policy; the
 //      per-job CSV plus summary JSON must match byte for byte, and every run
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -108,24 +107,6 @@ void des_jitter_round(std::uint64_t seed, std::size_t count) {
 
 // --- 2. Scheduler replay audit ----------------------------------------------
 
-/// The full evaluation line-up, deduplicated by name: the paper's
-/// section 5.1 competitors, FSC, the loop self-scheduling family, and the
-/// RUMR variants used in the ablation figures.
-std::vector<rumr::sweep::AlgorithmSpec> all_schedulers() {
-  std::vector<rumr::sweep::AlgorithmSpec> specs = rumr::sweep::extended_competitors();
-  for (auto& s : rumr::sweep::loop_family_competitors()) specs.push_back(std::move(s));
-  specs.push_back(rumr::sweep::rumr_inorder_spec());
-  specs.push_back(rumr::sweep::rumr_adaptive_spec());
-  specs.push_back(rumr::sweep::rumr_fixed_spec(70.0));
-
-  std::vector<rumr::sweep::AlgorithmSpec> unique;
-  std::map<std::string, bool> seen;
-  for (auto& s : specs) {
-    if (seen.emplace(s.name, true).second) unique.push_back(std::move(s));
-  }
-  return unique;
-}
-
 /// Runs one policy once and reduces the run to a byte-comparable string:
 /// the Chrome-tracing JSON plus every result scalar at full precision.
 std::string run_fingerprint(rumr::sim::SchedulerPolicy& policy,
@@ -135,8 +116,7 @@ std::string run_fingerprint(rumr::sim::SchedulerPolicy& policy,
   options.record_trace = true;
   const rumr::sim::SimResult result = rumr::sim::simulate(platform, policy, options);
 
-  const rumr::check::AuditReport audit =
-      rumr::check::audit_sim_result(result, platform, w_total);
+  const rumr::check::AuditReport audit = rumr::check::audit_run(result, platform, w_total, options);
   if (!audit.ok() && audit_out != nullptr) *audit_out = audit.summary();
 
   std::ostringstream out;
@@ -156,7 +136,8 @@ std::string run_fingerprint(rumr::sim::SchedulerPolicy& policy,
 /// plan; all four runs must be byte-identical.
 void scheduler_replay_round(const rumr::platform::StarPlatform& platform, const char* label,
                             double w_total, double error, std::uint64_t seed) {
-  for (const rumr::sweep::AlgorithmSpec& spec : all_schedulers()) {
+  for (const std::string& name : rumr::config::policy_names()) {
+    const rumr::sweep::AlgorithmSpec spec = rumr::config::policy_spec(name);
     const auto fingerprint = [&](rumr::sim::SchedulerPolicy& policy, std::string* audit_out) {
       return run_fingerprint(policy, platform, w_total, error, seed, audit_out);
     };

@@ -71,7 +71,7 @@ int main() {
         const auto policy = spec.make(platform, kWTotal, kError);
         try {
           const sim::SimResult result = simulate(platform, *policy, options);
-          const check::AuditReport audit = check::audit_sim_result(result, platform, kWTotal);
+          const check::AuditReport audit = check::audit_run(result, platform, kWTotal, options);
           if (!audit.ok()) {
             std::cerr << "AUDIT FAILED (" << spec.name << ", mtbf=" << point.label
                       << ", rep=" << rep << "):\n"
