@@ -2,12 +2,11 @@
 # CI driver: builds and tests every correctness configuration.
 #
 #   ./ci.sh            all stages
-#   ./ci.sh release    one stage: release | asan-ubsan | tsan | tidy | lint |
-#                      metrics | jobs | sweep | race | chaos | serve | perf
+#   ./ci.sh release    one stage: release | asan-ubsan | tsan | tidy | lint | perf
 #
 # Stages (each uses the matching CMakePresets.json preset, building into
 # build/<preset>; every preset sets RUMR_WARNINGS_AS_ERRORS=ON):
-#   release     Release build + full ctest suite + determinism harness
+#   release     Release build + full ctest suite (demos included)
 #   asan-ubsan  Debug + ASan/UBSan + expensive-tier RUMR_CHECKs + ctest
 #   tsan        RelWithDebInfo + TSan + expensive-tier RUMR_CHECKs + ctest
 #   tidy        clang-tidy over src/ with the repo .clang-tidy, zero-warning
@@ -21,38 +20,6 @@
 #               header self-sufficiency gate (every src/ header compiles as
 #               a standalone TU). Unlike tidy, this stage has no external
 #               dependency and always runs.
-#   metrics     self-auditing observability demo (tools/metrics_demo) under
-#               the release and asan-ubsan presets; every scenario's metrics
-#               must satisfy the check:: identity audits
-#   jobs        multi-job open-system demo (tools/jobs_demo) under the release
-#               and asan-ubsan presets; every run must pass
-#               check::audit_service_result and drain its admitted jobs
-#   sweep       sharded streaming sweep demo (tools/sweep_demo) under the
-#               release and asan-ubsan presets: byte-identity across thread
-#               counts, rep_block merge-tree tolerance, exactly-once
-#               streaming, and open-system thread invariance; the demo exits
-#               nonzero on any violation
-#   race        best-arm racing demo (tools/race_demo) under the release and
-#               asan-ubsan presets: every cell of the raced grid must certify
-#               a single winner at delta = 0.05 with an audit-clean
-#               elimination ledger, match the fixed-repetition argmin over
-#               the same seed lanes, save >= 3x the simulations, and be
-#               byte-identical across thread counts; nonzero exit on any
-#               violation
-#   chaos       seeded fault-injection campaign (tools/chaos_campaign) under
-#               the release and asan-ubsan presets: the small grid sweeps
-#               message loss x bandwidth degradation x worker MTBF x workload
-#               error for every policy, self-audits each cell, and
-#               --error-exit fails the stage on any audit violation or
-#               non-converging run
-#   serve       what-if scheduling server (tools/rumr_serve) under the release
-#               and asan-ubsan presets: --self-test covers cached-vs-cold
-#               byte identity (including a pass-through cache), concurrent
-#               exactly-once solving, reject/shed admission, and the
-#               rumr::Serve stream pump; then a full framed session round
-#               trip (--emit-demo-requests -> --stdio -> the verifier, which
-#               requires warm == cold bytes and the expected cache-hit
-#               ledger); nonzero exit on any violation
 #   perf        fresh bench_perf_json snapshot (results/BENCH_des.json) gated
 #               by tools/perf_gate against the checked-in
 #               results/BENCH_baseline.json: any rate more than 20% below
@@ -63,11 +30,15 @@
 # `ctest -L regression` pass: the golden-trace replays and the DES
 # property/fuzz suite are the lockdown for kernel/engine rework, so they run
 # visibly in every sanitizer configuration, not just inside the full suite.
+# The full suite also runs every self-checking demo (`ctest -L demo`:
+# metrics, jobs, sweep, race, robustness, the determinism harness, the
+# chaos campaign at seed 802537, and the rumr_serve self-test and framed
+# round trip), each of which exits nonzero on any violation.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
-STAGES=("${@:-release asan-ubsan tsan tidy lint metrics jobs sweep race chaos serve perf}")
+STAGES=("${@:-release asan-ubsan tsan tidy lint perf}")
 # Re-split in case the default string was taken as one word.
 read -r -a STAGES <<< "${STAGES[*]}"
 
@@ -76,9 +47,9 @@ banner() { printf '\n=== %s ===\n' "$*"; }
 # Reject typos up front, before any stage burns build time.
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    release|asan-ubsan|tsan|tidy|lint|metrics|jobs|sweep|race|chaos|serve|perf) ;;
+    release|asan-ubsan|tsan|tidy|lint|perf) ;;
     *)
-      echo "ci.sh: unknown stage '$stage' (valid: release | asan-ubsan | tsan | tidy | lint | metrics | jobs | sweep | race | chaos | serve | perf)" >&2
+      echo "ci.sh: unknown stage '$stage' (valid: release | asan-ubsan | tsan | tidy | lint | perf)" >&2
       exit 2
       ;;
   esac
@@ -98,25 +69,12 @@ build_and_test() {
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    release)
-      build_and_test release
-      banner "determinism harness [release]"
-      ./build/release/tools/determinism_check
-      banner "robustness demo [release]"
-      ./build/release/tools/robustness_demo
-      ;;
-    asan-ubsan)
-      build_and_test asan-ubsan
-      banner "determinism harness [asan-ubsan]"
-      ./build/asan-ubsan/tools/determinism_check
-      banner "robustness demo [asan-ubsan]"
-      ./build/asan-ubsan/tools/robustness_demo
+    release|asan-ubsan)
+      build_and_test "$stage"
       ;;
     tsan)
       # Suppress nothing: the suite must be race-free as-is.
       TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" build_and_test tsan
-      banner "robustness demo [tsan]"
-      TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" ./build/tsan/tools/robustness_demo
       ;;
     tidy)
       if ! command -v clang-tidy > /dev/null 2>&1; then
@@ -138,91 +96,6 @@ for stage in "${STAGES[@]}"; do
       banner "header self-sufficiency [every src/ header as a standalone TU]"
       cmake --build --preset release -j "$JOBS" --target rumr_header_selfcheck
       ;;
-    metrics)
-      # The demo exits nonzero when any scenario's metrics violate the
-      # observability identities, so this is a real gate, not a smoke run.
-      for preset in release asan-ubsan; do
-        banner "configure+build metrics_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target metrics_demo
-        banner "metrics demo [$preset]"
-        "./build/$preset/tools/metrics_demo"
-      done
-      ;;
-    jobs)
-      # The demo exits nonzero when any open-system run fails its service
-      # audit or strands admitted jobs, so this is a real gate too.
-      for preset in release asan-ubsan; do
-        banner "configure+build jobs_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target jobs_demo
-        banner "jobs demo [$preset]"
-        "./build/$preset/tools/jobs_demo"
-      done
-      ;;
-    sweep)
-      # The demo exits nonzero when the sharded engine breaks its
-      # determinism contract (thread-count or shard-shape dependence,
-      # dropped/duplicated streamed cells), so this gates the sweep engine
-      # end to end through the rumr::Sweep facade.
-      for preset in release asan-ubsan; do
-        banner "configure+build sweep_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target sweep_demo
-        banner "sweep demo [$preset]"
-        "./build/$preset/tools/sweep_demo"
-      done
-      ;;
-    race)
-      # The demo exits nonzero when any raced cell fails to certify within
-      # budget, its elimination ledger fails check::audit_race_result, the
-      # raced winner disagrees with the fixed-repetition argmin, the
-      # simulations-saved ratio drops below 3x, or a thread count perturbs
-      # the result, so this gates the racing engine end to end through the
-      # rumr::Sweep and rumr::Race facades.
-      for preset in release asan-ubsan; do
-        banner "configure+build race_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target race_demo
-        banner "race demo [$preset]"
-        "./build/$preset/tools/race_demo"
-      done
-      ;;
-    chaos)
-      # Every cell of the campaign self-audits (work conservation, banked-work
-      # accounting, span sanity) and must converge within its event budget;
-      # --error-exit turns any violation into a stage failure. The seed is
-      # pinned so a red stage is reproducible bit-for-bit.
-      for preset in release asan-ubsan; do
-        banner "configure+build chaos_campaign [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target chaos_campaign
-        banner "chaos campaign, small grid [$preset]"
-        "./build/$preset/tools/chaos_campaign" --grid small --seed 802537 \
-          --out "build/$preset/CHAOS.json" --error-exit
-      done
-      ;;
-    serve)
-      # The self-test exits nonzero when the serving path breaks any of its
-      # contracts; the framed round trip then exercises the wire protocol
-      # end to end and the verifier re-checks byte identity and the
-      # cache-hit ledger on the decoded frames.
-      for preset in release asan-ubsan; do
-        banner "configure+build rumr_serve [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target rumr_serve
-        banner "serve self-test [$preset]"
-        "./build/$preset/tools/rumr_serve" --self-test
-        banner "serve framed session round trip [$preset]"
-        "./build/$preset/tools/rumr_serve" --emit-demo-requests \
-          "build/$preset/serve_requests.bin"
-        "./build/$preset/tools/rumr_serve" --stdio \
-          < "build/$preset/serve_requests.bin" \
-          > "build/$preset/serve_responses.bin"
-        "./build/$preset/tools/rumr_serve" --verify-demo-responses \
-          "build/$preset/serve_responses.bin"
-      done
-      ;;
     perf)
       banner "configure+build perf gate [release]"
       cmake --preset release
@@ -234,7 +107,7 @@ for stage in "${STAGES[@]}"; do
         --threshold 0.20 --history results/BENCH_history.jsonl
       ;;
     *)
-      echo "unknown stage '$stage' (release|asan-ubsan|tsan|tidy|lint|metrics|jobs|sweep|race|chaos|serve|perf)" >&2
+      echo "unknown stage '$stage' (release|asan-ubsan|tsan|tidy|lint|perf)" >&2
       exit 2
       ;;
   esac

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -264,29 +265,42 @@ jobs::ServiceResult JobsRun::execute() const {
 
 namespace {
 
-/// A by-name line-up: each name that resolves in the policy registry joins
-/// `specs`; each one that does not becomes a problem for validate().
-void lineup_from_names(const std::vector<std::string>& names,
-                       std::vector<sweep::AlgorithmSpec>& specs,
-                       std::vector<std::string>& problems) {
-  specs.clear();
-  problems.clear();
+/// A by-name line-up: each name that resolves in the policy registry. The
+/// facade keeps the names, and validate() reports the ones that do not.
+std::vector<sweep::AlgorithmSpec> lineup_from_names(const std::vector<std::string>& names) {
+  std::vector<sweep::AlgorithmSpec> specs;
   for (const std::string& name : names) {
-    if (std::string problem = config::policy_name_problem(name); !problem.empty()) {
-      problems.push_back("policy \"" + name + "\": " + problem);
-    } else {
-      specs.push_back(config::policy_spec(name));
+    if (config::policy_name_problem(name).empty()) specs.push_back(config::policy_spec(name));
+  }
+  return specs;
+}
+
+/// Each (name, platform) pair whose plan is too large for the platform.
+void add_size_problems(std::vector<std::string>& problems, std::span<const std::string> names,
+                       std::span<const sweep::SweepPlatform> platforms) {
+  for (const std::string& name : names) {
+    for (const sweep::SweepPlatform& p : platforms) {
+      if (std::string problem = config::policy_size_problem(name, p.platform.size());
+          !problem.empty()) {
+        problems.push_back("policy \"" + name + "\" on platform \"" + p.label + "\": " + problem);
+      }
     }
   }
 }
 
-/// The line-up's problems: each name that did not resolve, or an empty
-/// line-up when no names were given.
+/// The line-up's problems: each name that does not resolve or is too large
+/// for one of `platforms`, or an empty line-up when no names were given.
 void add_lineup_problems(std::vector<std::string>& problems,
                          const std::vector<sweep::AlgorithmSpec>& specs,
-                         const std::vector<std::string>& name_problems) {
-  if (specs.empty() && name_problems.empty()) problems.emplace_back("policy line-up is empty");
-  problems.insert(problems.end(), name_problems.begin(), name_problems.end());
+                         const std::vector<std::string>& names,
+                         std::span<const sweep::SweepPlatform> platforms) {
+  if (specs.empty() && names.empty()) problems.emplace_back("policy line-up is empty");
+  for (const std::string& name : names) {
+    if (std::string problem = config::policy_name_problem(name); !problem.empty()) {
+      problems.push_back("policy \"" + name + "\": " + problem);
+    }
+  }
+  add_size_problems(problems, names, platforms);
 }
 
 }  // namespace
@@ -312,12 +326,13 @@ Race& Race::error(double e) {
 
 Race& Race::policies(std::vector<sweep::AlgorithmSpec> specs) {
   policies_ = std::move(specs);
-  policy_problems_.clear();
+  policy_names_.clear();
   return *this;
 }
 
 Race& Race::policies(const std::vector<std::string>& names) {
-  lineup_from_names(names, policies_, policy_problems_);
+  policies_ = lineup_from_names(names);
+  policy_names_ = names;
   return *this;
 }
 
@@ -383,7 +398,7 @@ race::RaceOptions Race::race_options() const {
 
 std::vector<std::string> Race::validate() const {
   std::vector<std::string> problems = race_options().validate();
-  add_lineup_problems(problems, policies_, policy_problems_);
+  add_lineup_problems(problems, policies_, policy_names_, {&platform_, 1});
   if (!std::isfinite(error_) || error_ < 0.0) {
     problems.emplace_back("error level must be finite and non-negative");
   }
@@ -429,12 +444,13 @@ Sweep& Sweep::errors(std::vector<double> axis) {
 
 Sweep& Sweep::policies(std::vector<sweep::AlgorithmSpec> specs) {
   policies_ = std::move(specs);
-  policy_problems_.clear();
+  policy_names_.clear();
   return *this;
 }
 
 Sweep& Sweep::policies(const std::vector<std::string>& names) {
-  lineup_from_names(names, policies_, policy_problems_);
+  policies_ = lineup_from_names(names);
+  policy_names_ = names;
   return *this;
 }
 
@@ -590,7 +606,7 @@ std::vector<std::string> Sweep::validate() const {
         break;
       }
     }
-    add_lineup_problems(problems, policies_, policy_problems_);
+    add_lineup_problems(problems, policies_, policy_names_, platforms_);
     if (faults_.enabled()) {
       problems.emplace_back(
           "worker faults are set but the race engine does not inject faults — "
@@ -619,6 +635,7 @@ std::vector<std::string> Sweep::validate() const {
   if (jobs_mode_) {
     const sweep::JobsSweepOptions options = open_options();
     for (std::string& p : options.validate()) problems.push_back(std::move(p));
+    add_size_problems(problems, {&jobs_base_.algorithm, 1}, platforms_);
     if (cell_consumer_) {
       problems.emplace_back(
           "a closed-system on_cell consumer is set but the sweep is open-system — "
@@ -639,7 +656,7 @@ std::vector<std::string> Sweep::validate() const {
   } else {
     const sweep::SweepOptions options = closed_options();
     for (std::string& p : options.validate()) problems.push_back(std::move(p));
-    add_lineup_problems(problems, policies_, policy_problems_);
+    add_lineup_problems(problems, policies_, policy_names_, platforms_);
     if (jobs_consumer_) {
       problems.emplace_back(
           "an open-system on_cell consumer is set but the sweep is closed-system — "

@@ -333,7 +333,9 @@ class Race {
 
   sweep::SweepPlatform platform_;
   std::vector<sweep::AlgorithmSpec> policies_;
-  std::vector<std::string> policy_problems_;  ///< Unknown names, reported by validate().
+  /// A by-name line-up's names (validate() reports the bad ones); empty
+  /// for a spec line-up.
+  std::vector<std::string> policy_names_;
   double error_ = 0.3;
   double workload_ = 1000.0;
   double delta_ = 0.05;
@@ -481,7 +483,9 @@ class Sweep {
 
   std::vector<sweep::SweepPlatform> platforms_;
   std::vector<sweep::AlgorithmSpec> policies_;
-  std::vector<std::string> policy_problems_;  ///< Unknown names, reported by validate().
+  /// A by-name line-up's names (validate() reports the bad ones); empty
+  /// for a spec line-up.
+  std::vector<std::string> policy_names_;
   std::vector<double> errors_;
   std::vector<double> loads_;
   double workload_ = 1000.0;

@@ -22,7 +22,9 @@ using platform::StarPlatform;
 
 /// One row of the registry. A family row's names are prefixes completed by
 /// its parameter, which lies in [min_param, max_param] (max_param == 0 for
-/// a fixed row); `evaluated` lists the members the evaluation runs.
+/// a fixed row); `evaluated` lists the members the evaluation runs. When
+/// `per_worker` is set, N workers share max_param: N * param may not exceed
+/// it (MI-x solves N*x unknowns).
 struct PolicyEntry {
   std::string_view config_name;
   std::string_view display_name;
@@ -32,6 +34,7 @@ struct PolicyEntry {
   std::size_t min_param = 0;
   std::size_t max_param = 0;
   std::span<const std::size_t> evaluated{};
+  bool per_worker = false;
 };
 
 /// A PreparedPolicy whose calls build `Policy` cursors over `plan`.
@@ -66,7 +69,7 @@ constexpr PolicyEntry kPolicies[] = {
      [](const StarPlatform& p, double w, double, std::size_t x) {
        return instances_of<baselines::StaticSequencePolicy>(baselines::prepare_mi(p, w, x));
      },
-     "MI installment count", 1, baselines::kMaxMiUnknowns, kEvaluatedMi},
+     "MI installment count", 1, baselines::kMaxMiUnknowns, kEvaluatedMi, true},
     {"factoring", "Factoring", [](const StarPlatform& p, double w, double, std::size_t) {
        return instances_of<baselines::SelfSchedulingPolicy>(baselines::prepare_factoring(p, w));
      }},
@@ -174,6 +177,20 @@ AlgorithmSpec policy_spec(std::string_view name) {
 }
 
 std::string policy_name_problem(std::string_view name) { return problem_of(lookup(name), name); }
+
+std::string policy_size_problem(std::string_view name, std::size_t num_workers) {
+  const Lookup found = lookup(name);
+  // Divides rather than multiplies, as the solver does, so N * param cannot
+  // overflow.
+  if (found.row == nullptr || !found.row->per_worker || num_workers == 0 ||
+      found.param <= found.row->max_param / num_workers) {
+    return {};
+  }
+  return std::string(name) + " on " + std::to_string(num_workers) + " workers: " +
+         std::string(found.row->param_name) + " " + std::to_string(found.param) + " exceeds " +
+         std::to_string(found.row->max_param / num_workers) + " (N*x may not exceed " +
+         std::to_string(found.row->max_param) + " unknowns)";
+}
 
 std::vector<std::string> policy_names() {
   std::vector<std::string> names;

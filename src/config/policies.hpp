@@ -56,6 +56,12 @@ struct AlgorithmSpec {
 /// Why `name` does not resolve, or empty when it does.
 [[nodiscard]] std::string policy_name_problem(std::string_view name);
 
+/// Why `name` cannot be solved on a platform of `num_workers` workers — an
+/// mi-<x> whose N*x linear unknowns exceed baselines::kMaxMiUnknowns — or
+/// empty when it can, when `num_workers` is 0 (unknown), or when `name`
+/// does not resolve (policy_name_problem reports that).
+[[nodiscard]] std::string policy_size_problem(std::string_view name, std::size_t num_workers);
+
 /// Every config name, in table order, with each family at the members the
 /// evaluation runs (mi-1..mi-4, rumr-50..rumr-90).
 [[nodiscard]] std::vector<std::string> policy_names();

@@ -53,6 +53,9 @@ std::vector<std::string> JobsOptions::validate(std::size_t num_workers) const {
 
   if (const std::string problem = config::policy_name_problem(algorithm); !problem.empty()) {
     complain("jobs: ", problem);
+  } else if (const std::string size = config::policy_size_problem(algorithm, num_workers);
+             !size.empty()) {
+    complain("jobs: ", size);
   }
   if (!(known_error >= 0.0)) complain("jobs: known_error must be >= 0, got ", known_error);
   if (sharing == SharingPolicy::kPartitioned) {

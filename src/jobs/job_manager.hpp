@@ -117,7 +117,8 @@ struct JobsOptions {
 
   /// Every problem with the options, human-readable; empty means usable.
   /// `num_workers` enables the platform-dependent checks (partitions vs
-  /// worker count); pass 0 to skip them.
+  /// worker count, an mi-<x> too large to solve on N workers); pass 0 to
+  /// skip them.
   [[nodiscard]] std::vector<std::string> validate(std::size_t num_workers = 0) const;
 };
 

@@ -5,36 +5,9 @@
 #include <ostream>
 
 #include "lint/engine.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr::lint {
-namespace {
-
-/// Minimal JSON string escaping for paths/messages (ASCII sources).
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string finding_key(const Finding& f) {
   return f.file + "|" + f.rule + "|" + std::to_string(f.line);
@@ -48,15 +21,19 @@ void print_text(const std::vector<Finding>& findings, std::ostream& out) {
 
 void print_json(const std::vector<Finding>& findings, std::size_t files_scanned,
                 std::ostream& out) {
-  out << "{\n  \"files_scanned\": " << files_scanned
-      << ",\n  \"finding_count\": " << findings.size() << ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"file\": \"" << json_escape(f.file)
-        << "\", \"line\": " << f.line << ", \"rule\": \"" << json_escape(f.rule)
-        << "\", \"message\": \"" << json_escape(f.message) << "\"}";
+  using util::JsonValue;
+  JsonValue list = JsonValue::array();
+  for (const Finding& f : findings) {
+    list.push_back(JsonValue::object({{"file", JsonValue::string(f.file)},
+                                      {"line", JsonValue::number(f.line)},
+                                      {"rule", JsonValue::string(f.rule)},
+                                      {"message", JsonValue::string(f.message)}}));
   }
-  out << (findings.empty() ? "]" : "\n  ]") << "\n}\n";
+  out << JsonValue::object({{"files_scanned", JsonValue::number(files_scanned)},
+                            {"finding_count", JsonValue::number(findings.size())},
+                            {"findings", std::move(list)}})
+             .dump()
+      << "\n";
 }
 
 void print_rule_catalog(const Engine& engine, std::ostream& out) {

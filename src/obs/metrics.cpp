@@ -1,9 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/json_lite.hpp"
 
 namespace rumr::obs {
 
@@ -68,120 +69,86 @@ void Histogram::merge(const Histogram& other) {
 
 namespace {
 
-/// JSON number: full precision, non-finite as null (JSON has no inf/nan).
-void json_number(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  std::ostringstream text;
-  text.precision(17);
-  text << v;
-  out << text.str();
-}
+using util::JsonValue;
 
-void json_histogram(std::ostream& out, const Histogram& h) {
-  out << "{\"total\":" << h.total() << ",\"sum\":";
-  json_number(out, h.sum());
-  out << ",\"min\":";
-  json_number(out, h.min());
-  out << ",\"max\":";
-  json_number(out, h.max());
-  out << ",\"upper_edges\":[";
-  for (std::size_t i = 0; i < h.upper_edges().size(); ++i) {
-    if (i > 0) out << ',';
-    json_number(out, h.upper_edges()[i]);
-  }
-  out << "],\"counts\":[";
-  for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {
-    if (i > 0) out << ',';
-    out << h.bucket_counts()[i];
-  }
-  out << "]}";
+/// A measured value (non-finite ones are written null) and a counter.
+JsonValue real(double v) { return JsonValue::number_or_null(v); }
+JsonValue count(std::uint64_t v) { return JsonValue::number(static_cast<double>(v)); }
+
+JsonValue histogram_value(const Histogram& h) {
+  JsonValue edges = JsonValue::array();
+  for (const double edge : h.upper_edges()) edges.push_back(real(edge));
+  JsonValue counts = JsonValue::array();
+  for (const std::uint64_t c : h.bucket_counts()) counts.push_back(count(c));
+  return JsonValue::object({{"total", count(h.total())},
+                            {"sum", real(h.sum())},
+                            {"min", real(h.min())},
+                            {"max", real(h.max())},
+                            {"upper_edges", std::move(edges)},
+                            {"counts", std::move(counts)}});
 }
 
 }  // namespace
 
 std::string to_json(const RunMetrics& m) {
-  std::ostringstream out;
-  out << "{\"makespan\":";
-  json_number(out, m.makespan);
-
-  out << ",\"des\":{"
-      << "\"events_scheduled\":" << m.des.events_scheduled
-      << ",\"events_executed\":" << m.des.events_executed
-      << ",\"events_cancelled\":" << m.des.events_cancelled
-      << ",\"queue_depth_high_water\":" << m.des.queue_depth_high_water
-      << ",\"wall_seconds\":";
-  json_number(out, m.des.wall_seconds);
-  out << ",\"events_per_second\":";
-  json_number(out, m.des.events_per_second);
-  out << "}";
-
-  out << ",\"engine\":{"
-      << "\"uplink_busy_time\":";
-  json_number(out, m.engine.uplink_busy_time);
-  out << ",\"uplink_idle_time\":";
-  json_number(out, m.engine.uplink_idle_time);
-  out << ",\"uplink_utilization\":";
-  json_number(out, m.engine.uplink_utilization);
-  out << ",\"uplink_transfer_time\":";
-  json_number(out, m.engine.uplink_transfer_time);
-  out << ",\"downlink_busy_time\":";
-  json_number(out, m.engine.downlink_busy_time);
-  out << ",\"hol_blocking_time\":";
-  json_number(out, m.engine.hol_blocking_time);
-  out << ",\"dispatches\":" << m.engine.dispatches
-      << ",\"completions\":" << m.engine.completions
-      << ",\"redispatches\":" << m.engine.redispatches << ",\"work_dispatched\":";
-  json_number(out, m.engine.work_dispatched);
-  out << ",\"work_redispatched\":";
-  json_number(out, m.engine.work_redispatched);
-  out << ",\"mean_worker_utilization\":";
-  json_number(out, m.engine.mean_worker_utilization);
-  out << ",\"chunk_sizes\":";
-  json_histogram(out, m.engine.chunk_sizes);
-  out << ",\"compute_durations\":";
-  json_histogram(out, m.engine.compute_durations);
-  out << ",\"timeout_windows\":";
-  json_histogram(out, m.engine.timeout_windows);
-  out << ",\"rto_values\":";
-  json_histogram(out, m.engine.rto_values);
-  out << ",\"workers\":[";
-  for (std::size_t w = 0; w < m.engine.workers.size(); ++w) {
-    const WorkerSpans& ws = m.engine.workers[w];
-    if (w > 0) out << ',';
-    out << "{\"compute_time\":";
-    json_number(out, ws.compute_time);
-    out << ",\"aborted_time\":";
-    json_number(out, ws.aborted_time);
-    out << ",\"idle_time\":";
-    json_number(out, ws.idle_time);
-    out << ",\"down_time\":";
-    json_number(out, ws.down_time);
-    out << ",\"receive_time\":";
-    json_number(out, ws.receive_time);
-    out << ",\"dispatches\":" << ws.dispatches << ",\"completions\":" << ws.completions << "}";
+  JsonValue workers = JsonValue::array();
+  for (const WorkerSpans& ws : m.engine.workers) {
+    workers.push_back(JsonValue::object({{"compute_time", real(ws.compute_time)},
+                                         {"aborted_time", real(ws.aborted_time)},
+                                         {"idle_time", real(ws.idle_time)},
+                                         {"down_time", real(ws.down_time)},
+                                         {"receive_time", real(ws.receive_time)},
+                                         {"dispatches", count(ws.dispatches)},
+                                         {"completions", count(ws.completions)}}));
   }
-  out << "]}";
-
-  out << ",\"faults\":{"
-      << "\"failures\":" << m.faults.failures << ",\"recoveries\":" << m.faults.recoveries
-      << ",\"fencings\":" << m.faults.fencings
-      << ",\"false_suspicions\":" << m.faults.false_suspicions
-      << ",\"backoff_retries\":" << m.faults.backoff_retries
-      << ",\"rejoins\":" << m.faults.rejoins << ",\"chunks_lost\":" << m.faults.chunks_lost
-      << ",\"chunks_redispatched\":" << m.faults.chunks_redispatched
-      << ",\"messages_lost\":" << m.faults.messages_lost
-      << ",\"latency_spikes\":" << m.faults.latency_spikes
-      << ",\"degraded_sends\":" << m.faults.degraded_sends
-      << ",\"retransmits\":" << m.faults.retransmits << ",\"work_retransmitted\":";
-  json_number(out, m.faults.work_retransmitted);
-  out << ",\"duplicates_suppressed\":" << m.faults.duplicates_suppressed
-      << ",\"checkpoints_banked\":" << m.faults.checkpoints_banked << ",\"work_banked\":";
-  json_number(out, m.faults.work_banked);
-  out << "}}";
-  return out.str();
+  const EngineStats& e = m.engine;
+  const FaultStats& f = m.faults;
+  return JsonValue::object(
+             {{"makespan", real(m.makespan)},
+              {"des", JsonValue::object({{"events_scheduled", count(m.des.events_scheduled)},
+                                         {"events_executed", count(m.des.events_executed)},
+                                         {"events_cancelled", count(m.des.events_cancelled)},
+                                         {"queue_depth_high_water",
+                                          count(m.des.queue_depth_high_water)},
+                                         {"wall_seconds", real(m.des.wall_seconds)},
+                                         {"events_per_second", real(m.des.events_per_second)}})},
+              {"engine", JsonValue::object({{"uplink_busy_time", real(e.uplink_busy_time)},
+                                            {"uplink_idle_time", real(e.uplink_idle_time)},
+                                            {"uplink_utilization", real(e.uplink_utilization)},
+                                            {"uplink_transfer_time", real(e.uplink_transfer_time)},
+                                            {"downlink_busy_time", real(e.downlink_busy_time)},
+                                            {"hol_blocking_time", real(e.hol_blocking_time)},
+                                            {"dispatches", count(e.dispatches)},
+                                            {"completions", count(e.completions)},
+                                            {"redispatches", count(e.redispatches)},
+                                            {"work_dispatched", real(e.work_dispatched)},
+                                            {"work_redispatched", real(e.work_redispatched)},
+                                            {"mean_worker_utilization",
+                                             real(e.mean_worker_utilization)},
+                                            {"chunk_sizes", histogram_value(e.chunk_sizes)},
+                                            {"compute_durations",
+                                             histogram_value(e.compute_durations)},
+                                            {"timeout_windows", histogram_value(e.timeout_windows)},
+                                            {"rto_values", histogram_value(e.rto_values)},
+                                            {"workers", std::move(workers)}})},
+              {"faults", JsonValue::object({{"failures", count(f.failures)},
+                                            {"recoveries", count(f.recoveries)},
+                                            {"fencings", count(f.fencings)},
+                                            {"false_suspicions", count(f.false_suspicions)},
+                                            {"backoff_retries", count(f.backoff_retries)},
+                                            {"rejoins", count(f.rejoins)},
+                                            {"chunks_lost", count(f.chunks_lost)},
+                                            {"chunks_redispatched", count(f.chunks_redispatched)},
+                                            {"messages_lost", count(f.messages_lost)},
+                                            {"latency_spikes", count(f.latency_spikes)},
+                                            {"degraded_sends", count(f.degraded_sends)},
+                                            {"retransmits", count(f.retransmits)},
+                                            {"work_retransmitted", real(f.work_retransmitted)},
+                                            {"duplicates_suppressed",
+                                             count(f.duplicates_suppressed)},
+                                            {"checkpoints_banked", count(f.checkpoints_banked)},
+                                            {"work_banked", real(f.work_banked)}})}})
+      .dump();
 }
 
 void CacheStats::merge(const CacheStats& other) noexcept {
@@ -197,40 +164,44 @@ void CacheStats::merge(const CacheStats& other) noexcept {
 }
 
 std::string to_json(const ServeStats& s) {
-  std::ostringstream out;
-  out << "{\"received\":" << s.received << ",\"admitted\":" << s.admitted
-      << ",\"rejected\":" << s.rejected << ",\"shed\":" << s.shed
-      << ",\"completed\":" << s.completed
-      << ",\"queue_depth_high_water\":" << s.queue_depth_high_water
-      << ",\"queries\":" << s.queries << ",\"query_errors\":" << s.query_errors
-      << ",\"solves\":" << s.solves << ",\"protocol_errors\":" << s.protocol_errors
-      << ",\"plan_cache\":{"
-      << "\"lookups\":" << s.plan_cache.lookups << ",\"hits\":" << s.plan_cache.hits
-      << ",\"misses\":" << s.plan_cache.misses
-      << ",\"insertions\":" << s.plan_cache.insertions
-      << ",\"evictions\":" << s.plan_cache.evictions
-      << ",\"collisions\":" << s.plan_cache.collisions
-      << ",\"failed_solves\":" << s.plan_cache.failed_solves
-      << ",\"entries\":" << s.plan_cache.entries
-      << ",\"bytes_cached\":" << s.plan_cache.bytes_cached << "}}";
-  return out.str();
+  const CacheStats& c = s.plan_cache;
+  return JsonValue::object({{"received", count(s.received)},
+                            {"admitted", count(s.admitted)},
+                            {"rejected", count(s.rejected)},
+                            {"shed", count(s.shed)},
+                            {"completed", count(s.completed)},
+                            {"queue_depth_high_water", count(s.queue_depth_high_water)},
+                            {"queries", count(s.queries)},
+                            {"query_errors", count(s.query_errors)},
+                            {"solves", count(s.solves)},
+                            {"protocol_errors", count(s.protocol_errors)},
+                            {"plan_cache", JsonValue::object({{"lookups", count(c.lookups)},
+                                                              {"hits", count(c.hits)},
+                                                              {"misses", count(c.misses)},
+                                                              {"insertions", count(c.insertions)},
+                                                              {"evictions", count(c.evictions)},
+                                                              {"collisions", count(c.collisions)},
+                                                              {"failed_solves",
+                                                               count(c.failed_solves)},
+                                                              {"entries", count(c.entries)},
+                                                              {"bytes_cached",
+                                                               count(c.bytes_cached)}})}})
+      .dump();
 }
 
-std::string to_json(const JobsStats& s) {
-  std::ostringstream out;
-  out << "{\"arrived\":" << s.arrived << ",\"admitted\":" << s.admitted
-      << ",\"rejected\":" << s.rejected << ",\"shed\":" << s.shed
-      << ",\"completed\":" << s.completed << ",\"response_times\":";
-  json_histogram(out, s.response_times);
-  out << ",\"slowdowns\":";
-  json_histogram(out, s.slowdowns);
-  out << ",\"queue_waits\":";
-  json_histogram(out, s.queue_waits);
-  out << ",\"job_sizes\":";
-  json_histogram(out, s.job_sizes);
-  out << "}";
-  return out.str();
+JsonValue to_json_value(const JobsStats& s) {
+  return JsonValue::object({{"arrived", count(s.arrived)},
+                            {"admitted", count(s.admitted)},
+                            {"rejected", count(s.rejected)},
+                            {"shed", count(s.shed)},
+                            {"completed", count(s.completed)},
+                            {"response_times", histogram_value(s.response_times)},
+                            {"slowdowns", histogram_value(s.slowdowns)},
+                            {"queue_waits", histogram_value(s.queue_waits)},
+                            {"job_sizes", histogram_value(s.job_sizes)}});
 }
+
+std::string to_json(const JobsStats& s) { return to_json_value(s).dump(); }
 
 namespace {
 

@@ -26,6 +26,10 @@
 #include <string>
 #include <vector>
 
+namespace rumr::util {
+class JsonValue;
+}  // namespace rumr::util
+
 namespace rumr::obs {
 
 /// Monotonically increasing count of occurrences.
@@ -273,8 +277,9 @@ struct ServeStats {
   CacheStats plan_cache;
 };
 
-/// Serializes a RunMetrics as a single JSON object (stable key order, full
-/// precision, non-finite values as null — valid JSON always).
+/// Serializes a RunMetrics as a single JSON object through util::json_lite
+/// (stable key order, doubles that parse back bit for bit, non-finite
+/// values as null — valid JSON always).
 [[nodiscard]] std::string to_json(const RunMetrics& metrics);
 
 /// Serializes a ServeStats the same way.
@@ -282,6 +287,9 @@ struct ServeStats {
 
 /// Serializes a JobsStats the same way.
 [[nodiscard]] std::string to_json(const JobsStats& stats);
+
+/// The JobsStats object itself, for writers that embed it in a document.
+[[nodiscard]] util::JsonValue to_json_value(const JobsStats& stats);
 
 /// Writes a RunMetrics as long-form `metric,value` CSV rows with a header.
 /// Per-worker metrics are emitted as `worker<i>.<metric>`.

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json_lite.hpp"
+
 namespace rumr::report {
 
 namespace {
@@ -65,37 +67,29 @@ std::string jobs_csv(const jobs::ServiceResult& result) {
 }
 
 void write_jobs_summary_json(std::ostream& out, const jobs::ServiceResult& result) {
-  const auto field = [&out](const char* name, double v, bool last = false) {
-    out << '"' << name << "\":";
-    if (std::isfinite(v)) {
-      std::ostringstream text;
-      text.precision(17);
-      text << v;
-      out << text.str();
-    } else {
-      out << "null";
-    }
-    if (!last) out << ',';
-  };
-  out << '{';
-  out << "\"arrived\":" << result.arrived << ",\"admitted\":" << result.admitted
-      << ",\"rejected\":" << result.rejected << ",\"shed\":" << result.shed
-      << ",\"completed\":" << result.completed << ',';
-  field("horizon", result.horizon);
-  field("area_jobs_in_system", result.area_jobs_in_system);
-  field("total_work", result.total_work);
-  field("share_time", result.share_time);
-  field("utilization", result.utilization);
-  field("share_utilization", result.share_utilization);
-  field("offered_load", result.offered_load);
-  field("mean_response", result.mean_response());
-  field("mean_slowdown", result.mean_slowdown());
-  field("mean_queue_wait", result.mean_queue_wait());
-  out << "\"manager_events\":" << result.manager_events
-      << ",\"oracle_runs\":" << result.oracle_runs
-      << ",\"oracle_events\":" << result.oracle_events << ',';
-  out << "\"stats\":" << obs::to_json(result.stats);
-  out << '}';
+  using util::JsonValue;
+  const auto real = [](double v) { return JsonValue::number_or_null(v); };
+  const auto count = [](std::uint64_t v) { return JsonValue::number(v); };
+  JsonValue summary = JsonValue::object({{"arrived", count(result.arrived)},
+                                         {"admitted", count(result.admitted)},
+                                         {"rejected", count(result.rejected)},
+                                         {"shed", count(result.shed)},
+                                         {"completed", count(result.completed)},
+                                         {"horizon", real(result.horizon)},
+                                         {"area_jobs_in_system", real(result.area_jobs_in_system)},
+                                         {"total_work", real(result.total_work)},
+                                         {"share_time", real(result.share_time)},
+                                         {"utilization", real(result.utilization)},
+                                         {"share_utilization", real(result.share_utilization)},
+                                         {"offered_load", real(result.offered_load)},
+                                         {"mean_response", real(result.mean_response())},
+                                         {"mean_slowdown", real(result.mean_slowdown())},
+                                         {"mean_queue_wait", real(result.mean_queue_wait())},
+                                         {"manager_events", count(result.manager_events)},
+                                         {"oracle_runs", count(result.oracle_runs)},
+                                         {"oracle_events", count(result.oracle_events)}});
+  summary.set("stats", obs::to_json_value(result.stats));
+  out << summary.dump();
 }
 
 std::string jobs_summary_json(const jobs::ServiceResult& result) {

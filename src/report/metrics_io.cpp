@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json_lite.hpp"
+
 namespace rumr::report {
 
 namespace {
@@ -32,31 +34,6 @@ void csv_number(std::ostream& out, double v) {
   text.precision(17);
   text << v;
   out << text.str();
-}
-
-void json_number(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  std::ostringstream text;
-  text.precision(17);
-  text << v;
-  out << text.str();
-}
-
-/// Minimal JSON string escaping for config labels and algorithm names.
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << c; break;
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -97,32 +74,26 @@ std::string sweep_metrics_csv(const sweep::SweepResult& result) {
 }
 
 void write_sweep_metrics_json(std::ostream& out, const sweep::SweepResult& result) {
-  out << '[';
-  bool first = true;
+  using util::JsonValue;
+  JsonValue cells = JsonValue::array();
   for (std::size_t c = 0; c < result.configs().size(); ++c) {
     for (std::size_t e = 0; e < result.errors().size(); ++e) {
       for (std::size_t a = 0; a < result.algorithms().size(); ++a) {
         const sweep::CellStats& cell = result.cell(c, e, a);
-        if (!first) out << ',';
-        first = false;
-        out << "{\"config\":";
-        json_string(out, result.configs()[c].label());
-        out << ",\"error\":";
-        json_number(out, result.errors()[e]);
-        out << ",\"algorithm\":";
-        json_string(out, result.algorithms()[a]);
-        out << ",\"reps\":" << cell.reps;
+        JsonValue row =
+            JsonValue::object({{"config", JsonValue::string(result.configs()[c].label())},
+                               {"error", JsonValue::number_or_null(result.errors()[e])},
+                               {"algorithm", JsonValue::string(result.algorithms()[a])},
+                               {"reps", JsonValue::number(cell.reps)}});
         for (const NamedStat& s : cell_stats(cell)) {
-          out << ",\"" << s.name << "_mean\":";
-          json_number(out, s.acc.mean());
-          out << ",\"" << s.name << "_stddev\":";
-          json_number(out, s.acc.stddev());
+          row.set(std::string(s.name) + "_mean", JsonValue::number_or_null(s.acc.mean()));
+          row.set(std::string(s.name) + "_stddev", JsonValue::number_or_null(s.acc.stddev()));
         }
-        out << '}';
+        cells.push_back(std::move(row));
       }
     }
   }
-  out << ']';
+  out << cells.dump();
 }
 
 std::string sweep_metrics_json(const sweep::SweepResult& result) {

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <iterator>
 #include <stdexcept>
@@ -81,6 +82,10 @@ Server::Server(const ServerOptions& options)
 Server::~Server() { wait_idle(); }
 
 std::future<std::string> Server::submit(std::string payload) {
+  return submit(std::move(payload), false);
+}
+
+std::future<std::string> Server::submit(std::string payload, bool wait_for_room) {
   std::promise<std::string> promise;
   std::future<std::string> future = promise.get_future();
 
@@ -121,7 +126,12 @@ std::future<std::string> Server::submit(std::string payload) {
   item.request = std::move(request);
   item.promise = std::move(promise);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (wait_for_room) {
+      room_cv_.wait(lock, [this] {
+        return in_service_ < pool_.thread_count() || queue_.size() < options_.queue_capacity;
+      });
+    }
     item.seq = next_seq_++;
     stats_.received += 1;
     if (in_service_ < pool_.thread_count()) {
@@ -180,6 +190,9 @@ void Server::worker_run(Pending item) {
     item.promise.set_value(std::move(response));
 
     std::lock_guard<std::mutex> lock(mutex_);
+    // This request's slot is released now: to the next queued request (the
+    // queue shrinks) or back to admission.
+    room_cv_.notify_all();
     if (queue_.empty()) {
       in_service_ -= 1;
       if (in_service_ == 0) idle_cv_.notify_all();
@@ -280,8 +293,12 @@ std::string Server::solve_query(const Query& query, std::uint64_t fingerprint) {
 
 void Server::serve_stream(std::istream& in, std::ostream& out) {
   // Responses leave in request order; admission and execution overlap across
-  // the in-flight window.
+  // the in-flight window, which is what admission can hold (capped at 1024).
+  // A slot outlives its drained response until worker_run releases it, so
+  // each request also waits for a free slot rather than racing that release.
   constexpr std::size_t kMaxInFlight = 1024;
+  const std::size_t window =
+      std::min(kMaxInFlight, pool_.thread_count() + options_.queue_capacity);
   std::deque<std::future<std::string>> in_flight;
   const auto drain_one = [&] {
     write_frame(out, in_flight.front().get());
@@ -291,8 +308,8 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
     for (;;) {
       std::optional<std::string> payload = read_frame(in);
       if (!payload) break;
-      in_flight.push_back(submit(std::move(*payload)));
-      while (in_flight.size() >= kMaxInFlight) drain_one();
+      in_flight.push_back(submit(std::move(*payload), true));
+      while (in_flight.size() >= window) drain_one();
     }
     while (!in_flight.empty()) drain_one();
   } catch (const ProtocolError& e) {

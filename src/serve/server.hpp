@@ -81,9 +81,12 @@ class Server {
 
   /// Pumps framed requests from `in` until EOF, writing framed responses to
   /// `out` in request order (concurrency happens between in-flight
-  /// requests, not in the response order). A session-fatal framing error
-  /// (bad magic/version/flags, oversized or truncated frame) writes one
-  /// final error frame and closes the session.
+  /// requests, not in the response order). The stream is admission's own
+  /// client: while every executor and queue slot is taken it stops reading
+  /// instead of having a request rejected or shed, so a client that
+  /// pipelines any number of frames gets every one answered. A
+  /// session-fatal framing error (bad magic/version/flags, oversized or
+  /// truncated frame) writes one final error frame and closes the session.
   void serve_stream(std::istream& in, std::ostream& out);
 
   /// Blocks until no request is in service or queued.
@@ -99,6 +102,9 @@ class Server {
     std::uint64_t seq = 0;  ///< Arrival order (FCFS / tie-break key).
   };
 
+  /// submit(); with `wait_for_room`, a batch request that finds admission
+  /// full waits for a slot instead of being rejected or shedding a waiter.
+  [[nodiscard]] std::future<std::string> submit(std::string payload, bool wait_for_room);
   /// Executes one batch request to a response payload (no locks held).
   [[nodiscard]] std::string execute_batch(const Request& request);
   /// Solves one query cold (the cache-miss path).
@@ -116,6 +122,7 @@ class Server {
 
   mutable std::mutex mutex_;
   std::condition_variable idle_cv_;
+  std::condition_variable room_cv_;  ///< Notified whenever a slot is released.
   std::list<Pending> queue_;
   std::size_t in_service_ = 0;
   std::uint64_t next_seq_ = 0;

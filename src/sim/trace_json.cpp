@@ -1,8 +1,9 @@
 #include "sim/trace_json.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+
+#include "util/json_lite.hpp"
 
 namespace rumr::sim {
 
@@ -44,20 +45,23 @@ long long span_tid(const TraceSpan& span) {
 }  // namespace
 
 std::string to_chrome_tracing(const Trace& trace) {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  using util::JsonValue;
+  JsonValue events = JsonValue::array();
   for (const TraceSpan& span : trace.spans()) {
-    if (!first) out << ',';
-    first = false;
-    const double ts_us = span.start * 1e6;
-    const double dur_us = std::max(0.0, span.end - span.start) * 1e6;
-    out << "{\"name\":\"" << span_name(span.kind) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-        << span_tid(span) << ",\"ts\":" << ts_us << ",\"dur\":" << dur_us
-        << ",\"args\":{\"worker\":" << span.worker << ",\"chunk\":" << span.chunk << "}}";
+    events.push_back(JsonValue::object(
+        {{"name", JsonValue::string(span_name(span.kind))},
+         {"ph", JsonValue::string("X")},
+         {"pid", JsonValue::number(0)},
+         {"tid", JsonValue::number(span_tid(span))},
+         {"ts", JsonValue::number(span.start * 1e6)},
+         {"dur", JsonValue::number(std::max(0.0, span.end - span.start) * 1e6)},
+         {"args", JsonValue::object({{"worker", JsonValue::number(span.worker)},
+                                     {"chunk", JsonValue::number(span.chunk)}})}}));
   }
-  out << "],\"displayTimeUnit\":\"ms\"}";
-  return out.str();
+  JsonValue doc = JsonValue::object();
+  doc.set("traceEvents", std::move(events));
+  doc.set("displayTimeUnit", JsonValue::string("ms"));
+  return doc.dump();
 }
 
 bool save_chrome_tracing(const std::string& path, const Trace& trace) {

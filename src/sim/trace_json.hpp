@@ -16,7 +16,9 @@
 
 namespace rumr::sim {
 
-/// Serializes the trace. Deterministic output (spans in recording order).
+/// Serializes the trace through util::json_lite. Deterministic output
+/// (spans in recording order); every `ts` and `dur` parses back bit for bit
+/// to start * 1e6 and (end - start) * 1e6.
 [[nodiscard]] std::string to_chrome_tracing(const Trace& trace);
 
 /// Writes to `path` (truncating). Returns false on I/O failure.

@@ -127,14 +127,6 @@ const ScenarioDef& find_scenario(const std::string& name) {
   throw std::invalid_argument("golden: unknown scenario '" + name + "'");
 }
 
-void emit_case(std::ostringstream& out, const GoldenCase& c, bool last) {
-  out << "    {\"algorithm\": \"" << c.algorithm << "\", \"makespan\": " << c.makespan
-      << ", \"work_dispatched\": " << c.work_dispatched
-      << ", \"uplink_busy_time\": " << c.uplink_busy_time << ", \"chunks\": " << c.chunks
-      << ", \"events\": " << c.events << ", \"chunks_redispatched\": " << c.chunks_redispatched
-      << "}" << (last ? "" : ",") << "\n";
-}
-
 std::uint64_t as_count(const util::JsonValue& v, const char* what) {
   const double d = v.as_number();
   if (d < 0.0 || d != std::floor(d)) {
@@ -366,20 +358,30 @@ GoldenScenario record_scenario(const std::string& name) {
 }
 
 std::string to_json(const GoldenScenario& scenario) {
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << "{\n"
-      << "  \"schema\": \"rumr-golden-v1\",\n"
-      << "  \"scenario\": \"" << scenario.name << "\",\n"
-      << "  \"w_total\": " << scenario.w_total << ",\n"
-      << "  \"error\": " << scenario.error << ",\n"
-      << "  \"seed\": " << scenario.seed << ",\n"
-      << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < scenario.cases.size(); ++i) {
-    emit_case(out, scenario.cases[i], i + 1 == scenario.cases.size());
+  using util::JsonValue;
+  // One case per line, so a re-record's diff names the case that moved.
+  std::string out = "{\n  \"schema\": \"rumr-golden-v1\",\n  \"scenario\": ";
+  util::append_json_quoted(out, scenario.name);
+  out += ",\n  \"w_total\": ";
+  util::append_json_number(out, scenario.w_total);
+  out += ",\n  \"error\": ";
+  util::append_json_number(out, scenario.error);
+  out += ",\n  \"seed\": ";
+  util::append_json_number(out, static_cast<double>(scenario.seed));
+  out += ",\n  \"cases\": [";
+  for (const GoldenCase& c : scenario.cases) {
+    out += out.back() == '[' ? "\n    " : ",\n    ";
+    out += JsonValue::object({{"algorithm", JsonValue::string(c.algorithm)},
+                              {"makespan", JsonValue::number(c.makespan)},
+                              {"work_dispatched", JsonValue::number(c.work_dispatched)},
+                              {"uplink_busy_time", JsonValue::number(c.uplink_busy_time)},
+                              {"chunks", JsonValue::number(c.chunks)},
+                              {"events", JsonValue::number(c.events)},
+                              {"chunks_redispatched", JsonValue::number(c.chunks_redispatched)}})
+               .dump();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  out += "\n  ]\n}\n";
+  return out;
 }
 
 GoldenScenario from_json(const std::string& text) {

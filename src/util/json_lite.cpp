@@ -393,6 +393,10 @@ JsonValue JsonValue::number(double v) {
   return out;
 }
 
+JsonValue JsonValue::number_or_null(double v) {
+  return std::isfinite(v) ? number(v) : null();
+}
+
 JsonValue JsonValue::string(std::string v) {
   JsonValue out;
   out.kind_ = Kind::kString;
@@ -406,9 +410,10 @@ JsonValue JsonValue::array() {
   return out;
 }
 
-JsonValue JsonValue::object() {
+JsonValue JsonValue::object(std::initializer_list<std::pair<std::string, JsonValue>> members) {
   JsonValue out;
   out.kind_ = Kind::kObject;
+  out.object_.assign(members.begin(), members.end());
   return out;
 }
 

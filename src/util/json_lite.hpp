@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file json_lite.hpp
-/// Minimal JSON reader *and* writer for the repo's own machine-readable
-/// artifacts (golden-result fixtures, perf-gate baselines) and for the
-/// rumr::serve wire protocol.
+/// Minimal JSON reader *and* the repo's only JSON writer: every document
+/// the repo writes (golden fixtures, metrics and jobs reports, Chrome
+/// traces, lint findings, chaos results, the rumr::serve wire protocol)
+/// spells its strings and numbers here.
 ///
 /// This is deliberately not a general-purpose JSON library: it parses the
 /// subset the repo's writers emit (objects, arrays, strings, finite numbers,
@@ -23,9 +24,14 @@
 /// std::to_chars shortest round-trip form (integers below 2^53 always as
 /// plain digits), so serialization is
 /// byte-deterministic across runs and platforms — the property the serve
-/// plan cache's canonical keys and byte-identical responses rest on.
+/// plan cache's canonical keys and byte-identical responses rest on — and
+/// every double parses back bit for bit. The writer has one non-finite
+/// rule per audience: the wire refuses NaN and infinity (number(),
+/// append_json_number throw), reports write them as null
+/// (number_or_null).
 
 #include <cstddef>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -84,9 +90,13 @@ class JsonValue {
   /// Throws JsonError{kType} on a non-finite value — the wire format has no
   /// NaN/inf spelling, and silently emitting null would corrupt cache keys.
   [[nodiscard]] static JsonValue number(double v);
+  /// A report's number: number(v), or null when `v` is NaN or infinite.
+  [[nodiscard]] static JsonValue number_or_null(double v);
   [[nodiscard]] static JsonValue string(std::string v);
   [[nodiscard]] static JsonValue array();
-  [[nodiscard]] static JsonValue object();
+  /// An object holding `members` in the order given.
+  [[nodiscard]] static JsonValue object(
+      std::initializer_list<std::pair<std::string, JsonValue>> members = {});
 
   /// Appends to an array (throws JsonError{kType} on any other kind).
   void push_back(JsonValue element);
@@ -131,8 +141,8 @@ class JsonValue {
 };
 
 /// Appends `text` to `out` as a quoted JSON string literal with the writer's
-/// escaping rules (the building block dump() and the hand-rolled report
-/// writers share).
+/// escaping rules (the building block dump() and the streaming writers
+/// share).
 void append_json_quoted(std::string& out, std::string_view text);
 
 /// Appends `value` in std::to_chars shortest round-trip form, except that

@@ -10,6 +10,7 @@
 
 #include "config/policies.hpp"
 #include "sim/master_worker.hpp"
+#include "stub_context.hpp"
 
 namespace rumr::baselines {
 namespace {
@@ -144,6 +145,28 @@ TEST(FactoringPolicy, FactoryUsesOverheadFloor) {
   // Floor = cLat + nLat*N = 5.5 work units; all but the last chunk respect it.
   const auto& chunks = self->chunk_sequence();
   for (std::size_t i = 0; i + 1 < chunks.size(); ++i) EXPECT_GE(chunks[i], 5.5 - 1e-9);
+}
+
+TEST(PaperRule, SelfSchedulingServesTheLongestIdleWorkerFirst) {
+  // Self-scheduling answers requests first come, first served (paper
+  // section 4.2's Factoring; baselines/factoring.cpp): among idle workers
+  // the one whose last chunk completed earliest is fed first.
+  const platform::StarPlatform p = platform::StarPlatform::homogeneous({.workers = 3});
+  SelfSchedulingPolicy policy("fcfs", {1.0, 1.0, 1.0, 1.0}, 3);
+  test_support::StubContext ctx(p);
+  const double completed_at[] = {5.0, 2.0, 8.0};
+  for (std::size_t w = 0; w < 3; ++w) {
+    ctx.status_[w].completed_chunks = 1;
+    ctx.status_[w].last_completion = completed_at[w];
+  }
+  std::vector<std::size_t> order;
+  for (int i = 0; i < 3; ++i) {
+    const auto d = policy.next_dispatch(ctx);
+    ASSERT_TRUE(d.has_value());
+    order.push_back(d->worker);
+    ctx.status_[d->worker].outstanding = 1;
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 0, 2}));
 }
 
 TEST(SelfScheduling, RejectsEmptyWorkerSet) {

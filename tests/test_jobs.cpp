@@ -15,6 +15,7 @@
 #include "jobs/jobs_config.hpp"
 #include "platform/platform.hpp"
 #include "report/jobs_io.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr {
 namespace {
@@ -526,9 +527,9 @@ TEST(JobsReport, CsvHasOneRowPerJobAndSummaryJsonParses) {
   EXPECT_EQ(rows, result.jobs.size() + 1);  // Header + one per job.
   EXPECT_NE(csv.find("completed"), std::string::npos);
 
-  const std::string json = report::jobs_summary_json(result);
-  EXPECT_NE(json.find("\"arrived\":30"), std::string::npos);
-  EXPECT_NE(json.find("\"stats\":{"), std::string::npos);
+  const util::JsonValue json = util::JsonValue::parse(report::jobs_summary_json(result));
+  EXPECT_EQ(json.at("arrived").as_number(), 30.0);
+  EXPECT_TRUE(json.at("stats").is_object());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "lint/lexer.hpp"
 #include "lint/report.hpp"
 #include "lint/rule.hpp"
+#include "util/json_lite.hpp"
 
 namespace fs = std::filesystem;
 using rumr::lint::Engine;
@@ -406,8 +407,10 @@ TEST(LintDriver, JsonReporterEmitsFindings) {
   std::ostringstream out;
   std::ostringstream err;
   EXPECT_EQ(rumr::lint::run(opts, out, err), 0);
-  EXPECT_NE(out.str().find("\"rule\": \"pointer-keyed-container\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"finding_count\": 1"), std::string::npos);
+  const rumr::util::JsonValue doc = rumr::util::JsonValue::parse(out.str());
+  ASSERT_EQ(doc.at("findings").as_array().size(), 1u);
+  EXPECT_EQ(doc.at("findings").as_array()[0].at("rule").as_string(), "pointer-keyed-container");
+  EXPECT_EQ(doc.at("finding_count").as_number(), 1.0);
 }
 
 TEST(LintDriver, BaselineRoundTripSubtractsLegacyFindings) {

@@ -15,6 +15,7 @@
 #include "obs/probe.hpp"
 #include "platform/platform.hpp"
 #include "sim/master_worker.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr {
 namespace {
@@ -243,18 +244,13 @@ TEST(RunMetricsExport, JsonContainsStableKeysAndBalancedBraces) {
   const platform::StarPlatform p = test_platform();
   core::UmrPolicy policy(p, 500.0);
   const sim::SimResult result = sim::simulate(p, policy, sim::SimOptions{});
-  const std::string json = obs::to_json(result.metrics);
-  EXPECT_NE(json.find("\"makespan\""), std::string::npos);
-  EXPECT_NE(json.find("\"uplink_busy_time\""), std::string::npos);
-  EXPECT_NE(json.find("\"queue_depth_high_water\""), std::string::npos);
-  EXPECT_NE(json.find("\"workers\""), std::string::npos);
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    EXPECT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  // Parsing is the balance check: a document with an unbalanced brace throws.
+  const util::JsonValue json = util::JsonValue::parse(obs::to_json(result.metrics));
+  EXPECT_NE(json.find("makespan"), nullptr);
+  EXPECT_NE(json.at("engine").find("uplink_busy_time"), nullptr);
+  EXPECT_NE(json.at("des").find("queue_depth_high_water"), nullptr);
+  EXPECT_EQ(json.at("engine").at("workers").as_array().size(),
+            result.metrics.engine.workers.size());
 }
 
 TEST(RunMetricsExport, CsvHasHeaderAndPerWorkerRows) {

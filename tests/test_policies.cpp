@@ -126,6 +126,31 @@ TEST(PolicyRegistry, EveryFrontDoorRejectsTheSameBadNames) {
     race.policies(std::vector<std::string>{"rumr", name});
     EXPECT_TRUE(mentions(race.validate(), problem)) << name;
   }
+  // A name that resolves but whose N*x exceeds the solver's bound on the
+  // given platform: each front door that knows the platform names its size
+  // before any run starts (mi-171 on 6 workers is 1026 unknowns).
+  const std::string size_problem = policy_size_problem("mi-171", p.size());
+  EXPECT_NE(size_problem.find("6 workers"), std::string::npos) << size_problem;
+  EXPECT_TRUE(policy_size_problem("mi-170", p.size()).empty());
+  const std::vector<std::pair<std::string, std::vector<std::string>>> too_large = {
+      {"jobs", [&] {
+         jobs::JobsOptions options;
+         options.algorithm = "mi-171";
+         return options.validate(p.size());
+       }()},
+      {"Sweep", rumr::Sweep().platform(p, "p").policies(std::vector<std::string>{"rumr", "mi-171"})
+                    .validate()},
+      {"Race", rumr::Race().platform(p, "p").policies(std::vector<std::string>{"rumr", "mi-171"})
+                   .validate()},
+      {"open-system Sweep", [&] {
+         jobs::JobsOptions options;
+         options.algorithm = "mi-171";
+         return rumr::Sweep().platform(p, "p").jobs(options).loads({0.5}).validate();
+       }()},
+  };
+  for (const auto& [front_door, problems] : too_large) {
+    EXPECT_TRUE(mentions(problems, size_problem)) << front_door;
+  }
   // And every registry name passes all four.
   for (const std::string& name : policy_names()) {
     EXPECT_TRUE(policy_name_problem(name).empty()) << name;

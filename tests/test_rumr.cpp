@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "baselines/factoring.hpp"
 #include "config/policies.hpp"
 #include "sim/master_worker.hpp"
 
@@ -90,6 +94,40 @@ TEST(RumrSplit, FixedSplitOptionsMatchFigureSix) {
                      1000.0 * (1.0 - percent / 100.0));
   }
   EXPECT_EQ(rumr_fixed_split_options(80.0).name, "RUMR-80");
+}
+
+TEST(PaperRule, RumrPhase2EngagesAtErrorsBelowFivePercent) {
+  // Paper section 4.2: phase 2 gets error * W whenever the overhead
+  // threshold (DESIGN.md section 4, "RUMR phase-2 trigger") lets it. On a
+  // zero-latency platform the threshold is zero, so errors 0.02 and 0.04 —
+  // inside Table 2's lowest band — reserve exactly error * W; no smaller
+  // error counts as zero.
+  const platform::StarPlatform p = paperish(10, 1.6, 0.0, 0.0);
+  for (const double error : {0.02, 0.04}) {
+    EXPECT_EQ(rumr_phase2_work(p, 1000.0, with_error(error)), error * 1000.0) << error;
+    const auto plan = prepare_rumr(p, 1000.0, with_error(error));
+    EXPECT_EQ(plan->w_phase2, error * 1000.0) << error;
+    EXPECT_NE(plan->phase2_factoring, nullptr) << error;
+  }
+}
+
+TEST(PaperRule, RumrPhase2FloorMovesWithTheError) {
+  // DESIGN.md section 4, "Factoring floor": phase-2 chunks stop shrinking
+  // at (cLat + nLat*N) * S / error (times the threshold scale), so doubling
+  // the error halves the floor. Here the floor lies inside its W2/(8N) and
+  // W/N guards at both errors: 5 units at error 0.2, 2.5 at 0.4.
+  const platform::StarPlatform p = paperish(4, 5.0, 1.0, 0.25);
+  for (const double error : {0.2, 0.4}) {
+    const RumrOptions options = with_error(error);
+    const auto plan = prepare_rumr(p, 150.0, options);
+    ASSERT_NE(plan->phase2_factoring, nullptr) << error;
+    const double floor =
+        baselines::empty_round_overhead_work(p) * options.phase2_threshold_scale / error;
+    const std::vector<double>& chunks = plan->phase2_factoring->chunks;
+    // The last chunk may absorb a remainder; every other is at least the floor.
+    const double smallest = *std::min_element(chunks.begin(), chunks.end() - 1);
+    EXPECT_NEAR(smallest, floor, 1e-9 * floor) << error;
+  }
 }
 
 TEST(RumrPolicy, RejectsBadWorkload) {

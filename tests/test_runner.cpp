@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/static_sequence.hpp"
 #include "report/metrics_io.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr::sweep {
 namespace {
@@ -231,22 +234,54 @@ TEST(MetricsIo, JsonIsBalancedAndCarriesEveryCell) {
   const auto configs = make_grid(tiny_grid());
   const std::vector<AlgorithmSpec> algos{umr_spec()};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
-  const std::string json = report::sweep_metrics_json(res);
-  EXPECT_NE(json.find("\"algorithm\""), std::string::npos);
-  EXPECT_NE(json.find("\"uplink_utilization_mean\""), std::string::npos);
-  long depth = 0;
-  std::size_t objects = 0;
-  for (char c : json) {
-    if (c == '{') {
-      ++depth;
-      ++objects;
-    }
-    if (c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    EXPECT_GE(depth, 0);
+  // Parsing is the balance check: a document with an unbalanced brace throws.
+  const util::JsonValue json = util::JsonValue::parse(report::sweep_metrics_json(res));
+  const auto& cells = json.as_array();
+  ASSERT_EQ(cells.size(), res.configs().size() * res.errors().size() * res.algorithms().size());
+  for (const util::JsonValue& cell : cells) {
+    EXPECT_NE(cell.find("algorithm"), nullptr);
+    EXPECT_NE(cell.find("uplink_utilization_mean"), nullptr);
   }
-  EXPECT_EQ(depth, 0);
-  EXPECT_EQ(objects, res.configs().size() * res.errors().size() * res.algorithms().size());
+}
+
+TEST(PaperRule, Table3MarginIsTenPercentOfRumrsMakespan) {
+  // Paper Table 3: RUMR (algorithm 0) outperforms a competitor "by at least
+  // 10%" when 1.1 * RUMR <= competitor — ten percent of RUMR's makespan, not
+  // of the competitor's (RUMR <= 0.9 * competitor). A competitor 10.5%
+  // slower than RUMR meets the first and not the second.
+  const auto one_chunk_to = [](std::size_t worker) {
+    return AlgorithmSpec{"to-" + std::to_string(worker),
+                         [worker](const platform::StarPlatform&, double w_total, double) {
+                           return PreparedPolicy([worker, w_total] {
+                             return std::make_unique<baselines::StaticSequencePolicy>(
+                                 "one-chunk", std::vector<sim::Dispatch>{{worker, w_total}});
+                           });
+                         }};
+  };
+  // Worker 1 computes 1.105x slower; the link is fast enough not to matter.
+  const platform::StarPlatform p({{1.0, 1e9, 0.0, 0.0, 0.0}, {1.0 / 1.105, 1e9, 0.0, 0.0, 0.0}});
+  SweepOptions options;
+  options.errors = {0.0};
+  options.repetitions = 2;
+  options.w_total = 100.0;
+  options.threads = 1;
+  std::vector<SweepCell> cells;
+  run_sweep_streaming({{"p", p}}, {one_chunk_to(0), one_chunk_to(1)}, options,
+                      [&cells](const SweepCell& cell) { cells.push_back(cell); });
+  ASSERT_EQ(cells.size(), 2u);
+  const SweepCell& competitor = cells[0].algorithm_index == 1 ? cells[0] : cells[1];
+  EXPECT_EQ(competitor.stats.ref_wins, 2u);
+  EXPECT_EQ(competitor.stats.ref_wins_by_10pct, 2u);
+
+  // The same margin over cell means.
+  SweepResult result({PlatformConfig{}}, {0.0}, {"RUMR", "competitor"});
+  result.cell(0, 0, 0).makespan.add(100.0);
+  result.cell(0, 0, 1).makespan.add(110.5);
+  EXPECT_EQ(result.win_percentage(error_band(0.0), 1, /*by_margin=*/true), 100.0);
+  result.cell(0, 0, 1).makespan = {};
+  result.cell(0, 0, 1).makespan.add(109.9);
+  EXPECT_EQ(result.win_percentage(error_band(0.0), 1, /*by_margin=*/true), 0.0);
+  EXPECT_EQ(result.win_percentage(error_band(0.0), 1), 100.0);
 }
 
 TEST(AlgorithmFactory, PaperLineUpNamesAndOrder) {

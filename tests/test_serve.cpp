@@ -507,6 +507,41 @@ TEST(ServeServer, StreamSessionAnswersInRequestOrder) {
   EXPECT_EQ(server.stats().plan_cache.hits, 2u);
 }
 
+TEST(ServeServer, PipelinedStreamIsNeverRejectedOrShed) {
+  // 500 one-query cold frames in one pipelined session against an admission
+  // capacity of 2 executors + 4 queue slots: the stream stops reading while
+  // admission is full instead of turning requests away.
+  constexpr std::size_t kFrames = 500;
+  std::stringstream frames;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    write_frame(frames, batch_json(static_cast<std::int64_t>(i), {query_json(i, "umr")}));
+  }
+  for (const jobs::AdmissionPolicy admission :
+       {jobs::AdmissionPolicy::kRejectNew, jobs::AdmissionPolicy::kShedOldest}) {
+    ServerOptions options;
+    options.threads = 2;
+    options.queue_capacity = 4;
+    options.admission = admission;
+    Server server{options};
+    std::stringstream in(frames.str());
+    std::stringstream out;
+    server.serve_stream(in, out);
+    server.wait_idle();
+
+    std::size_t results = 0;
+    while (auto frame = read_frame(out)) {
+      if (frame->find("\"type\":\"result\"") != std::string::npos) ++results;
+    }
+    EXPECT_EQ(results, kFrames) << jobs::to_string(admission);
+    const obs::ServeStats stats = server.stats();
+    EXPECT_EQ(stats.received, kFrames);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_EQ(stats.plan_cache.misses, kFrames);  // Every frame was a cold solve.
+    EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
+  }
+}
+
 TEST(ServeServer, OversizedMiQueriesGetNamedErrorsAndTheBatchIsAnswered) {
   // Frame 1: an installment count past 2^63, whose N*x wraps around to a
   // tiny matrix that an unchecked solve would write far outside; the

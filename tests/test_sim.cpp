@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/static_sequence.hpp"
 
 namespace rumr::sim {
@@ -214,6 +216,27 @@ TEST(Engine, WorkerOutcomeAccounting) {
   EXPECT_DOUBLE_EQ(r.workers[0].work, 8.0);
   EXPECT_DOUBLE_EQ(r.workers[0].busy_time, 2.0 * (0.25 + 2.0));
   EXPECT_GT(r.mean_worker_utilization(), 0.5);
+}
+
+TEST(PaperRule, ErrorScalesTheWholeComputeTime) {
+  // DESIGN.md section 3: the error's ratio multiplies the whole computation,
+  // cLat + chunk/S, not chunk/S alone. A seed draws the same ratio whatever
+  // cLat is, so the compute span over its prediction is that one ratio both
+  // with cLat = 0 and with cLat = 4.
+  const auto realised_ratio = [](double clat) {
+    const platform::StarPlatform p = one_worker(2.0, 8.0, clat, 0.1, 0.0);
+    StaticSequencePolicy policy("one", {{0, 6.0}});
+    SimOptions options = SimOptions::with_error(0.4, 77);
+    options.record_trace = true;
+    const SimResult r = simulate(p, policy, options);
+    for (const TraceSpan& span : r.trace.spans()) {
+      if (span.kind == SpanKind::kCompute) return (span.end - span.start) / (clat + 6.0 / 2.0);
+    }
+    return 0.0;
+  };
+  const double ratio = realised_ratio(0.0);
+  EXPECT_GT(std::abs(ratio - 1.0), 1e-3);  // The error did perturb the run.
+  EXPECT_NEAR(realised_ratio(4.0), ratio, 1e-12);
 }
 
 TEST(Engine, ErrorInjectionPerturbsMakespan) {

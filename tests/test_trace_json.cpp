@@ -9,6 +9,7 @@
 
 #include "core/umr_policy.hpp"
 #include "sim/master_worker.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr::sim {
 namespace {
@@ -23,13 +24,36 @@ TEST(TraceJson, EmitsOneEventPerSpan) {
   trace.add({SpanKind::kUplink, 0, 5.0, 0.0, 1.0});
   trace.add({SpanKind::kCompute, 0, 5.0, 1.0, 6.0});
   trace.add({SpanKind::kOutput, 0, 1.0, 6.0, 6.5});
-  const std::string json = to_chrome_tracing(trace);
-  EXPECT_NE(json.find("\"name\":\"send\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"compute\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"output\""), std::string::npos);
+  const util::JsonValue doc = util::JsonValue::parse(to_chrome_tracing(trace));
+  const auto& events = doc.at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].at("name").as_string(), "send");
+  EXPECT_EQ(events[1].at("name").as_string(), "compute");
+  EXPECT_EQ(events[2].at("name").as_string(), "output");
   // Seconds -> microseconds.
-  EXPECT_NE(json.find("\"ts\":1e+06"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":5e+06"), std::string::npos);
+  EXPECT_EQ(events[1].at("ts").as_number(), 1e6);
+  EXPECT_EQ(events[1].at("dur").as_number(), 5e6);
+}
+
+TEST(TraceJson, TimesParseBackBitForBit) {
+  // Times with 17 significant digits: a lossy number format would round
+  // them (six digits resolve only 100 us at t = 77 s).
+  const platform::StarPlatform p = platform::StarPlatform::homogeneous(
+      {.workers = 4, .speed = 1.3, .bandwidth = 7.7, .comp_latency = 0.11,
+       .comm_latency = 0.07, .transfer_latency = 0.013});
+  core::UmrPolicy policy(p, 777.7);
+  sim::SimOptions options = sim::SimOptions::with_error(0.3, 5);
+  options.record_trace = true;
+  const SimResult result = simulate(p, policy, options);
+  const util::JsonValue doc = util::JsonValue::parse(to_chrome_tracing(result.trace));
+  const auto& events = doc.at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), result.trace.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceSpan& span = result.trace.spans()[i];
+    EXPECT_EQ(events[i].at("ts").as_number(), span.start * 1e6) << i;
+    EXPECT_EQ(events[i].at("dur").as_number(), (span.end - span.start) * 1e6) << i;
+    EXPECT_EQ(events[i].at("args").at("chunk").as_number(), span.chunk) << i;
+  }
 }
 
 TEST(TraceJson, ThreadsSeparateMasterAndWorkers) {

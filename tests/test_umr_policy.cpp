@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/master_worker.hpp"
+#include "stub_context.hpp"
 
 namespace rumr::core {
 namespace {
@@ -18,24 +19,7 @@ platform::StarPlatform small_platform() {
        .comm_latency = 0.05});
 }
 
-/// Minimal MasterContext stub for driving policies without the engine.
-class StubContext : public sim::MasterContext {
- public:
-  explicit StubContext(const platform::StarPlatform& p) : platform_(p), status_(p.size()) {}
-
-  [[nodiscard]] des::SimTime now() const override { return now_; }
-  [[nodiscard]] const platform::StarPlatform& platform() const override { return platform_; }
-  [[nodiscard]] std::size_t num_workers() const override { return platform_.size(); }
-  [[nodiscard]] const sim::WorkerStatus& worker_status(std::size_t i) const override {
-    return status_.at(i);
-  }
-  [[nodiscard]] bool can_receive(std::size_t i) const override { return receivable_.empty() || receivable_.at(i); }
-
-  des::SimTime now_ = 0.0;
-  const platform::StarPlatform& platform_;
-  std::vector<sim::WorkerStatus> status_;
-  std::vector<bool> receivable_;
-};
+using test_support::StubContext;
 
 TEST(UmrPolicy, InOrderIsStrictRoundRobin) {
   const platform::StarPlatform p = small_platform();
@@ -100,6 +84,29 @@ TEST(UmrPolicy, OutOfOrderPrefersEarliestCompletionAmongIdle) {
   const auto d = policy.next_dispatch(ctx);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->worker, 3u);
+}
+
+TEST(PaperRule, OutOfOrderPhase1SkipsWorkersThatNeverCompletedAChunk) {
+  // DESIGN.md section 4, "Out-of-order phase 1" (core/umr_policy.cpp): a
+  // worker jumps the round-robin order only when it finished prematurely —
+  // nothing outstanding *and* at least one chunk completed. A worker with
+  // nothing outstanding that has never completed a chunk is not idle early.
+  const platform::StarPlatform p = small_platform();
+  UmrPolicy policy(p, 400.0, DispatchOrder::kOutOfOrder);
+  StubContext ctx(p);
+  for (auto& st : ctx.status_) st.outstanding = 1;
+  for (int i = 0; i < 4; ++i) (void)policy.next_dispatch(ctx);  // Round 0.
+  ctx.status_[1].outstanding = 0;  // Never completed a chunk; last_completion 0.
+  ctx.status_[3].outstanding = 0;
+  ctx.status_[3].completed_chunks = 1;
+  ctx.status_[3].last_completion = 5.0;
+  auto d = policy.next_dispatch(ctx);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->worker, 3u);  // The prematurely idle worker, not worker 1.
+  ctx.status_[3].outstanding = 1;
+  d = policy.next_dispatch(ctx);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->worker, 0u);  // Nobody idle early: round-robin order resumes.
 }
 
 TEST(UmrPolicy, OutOfOrderAvoidsBlockedWorkers) {

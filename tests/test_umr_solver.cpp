@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/umr_policy.hpp"
 #include "sim/master_worker.hpp"
@@ -17,10 +18,10 @@ namespace rumr::core {
 namespace {
 
 platform::StarPlatform paperish(std::size_t n = 10, double b_over_n = 1.5, double clat = 0.2,
-                                double nlat = 0.1) {
+                                double nlat = 0.1, double tlat = 0.0) {
   return platform::StarPlatform::homogeneous(
       {.workers = n, .speed = 1.0, .bandwidth = b_over_n * static_cast<double>(n),
-       .comp_latency = clat, .comm_latency = nlat});
+       .comp_latency = clat, .comm_latency = nlat, .transfer_latency = tlat});
 }
 
 TEST(UmrSolver, RejectsBadWorkload) {
@@ -137,16 +138,25 @@ TEST(UmrSolver, ZeroLatencyUsesManyRoundsButTerminates) {
 TEST(UmrSolver, PredictionMatchesSimulationAtZeroError) {
   // The solver's E(M) and the DES engine are written independently; at zero
   // error they must agree to floating-point accuracy. This validates both.
+  // tLat > 0 pins E(M)'s trailing max tLat term (DESIGN.md section 4,
+  // "UMR (homogeneous)"): the last chunk's tail delays the makespan. E(M)
+  // lets a chunk's tail overlap the next send, while the engine's default
+  // one-slot receive buffer holds the uplink until the tail lands, so the
+  // tLat case runs with unbounded buffers (the paper's model).
   for (double b_over_n : {1.2, 1.5, 2.0}) {
     for (double clat : {0.0, 0.3, 1.0}) {
       for (double nlat : {0.0, 0.3, 1.0}) {
-        const platform::StarPlatform p = paperish(10, b_over_n, clat, nlat);
-        const UmrSchedule s = solve_umr(p, 1000.0);
-        UmrPolicy policy(s, DispatchOrder::kInOrder);
-        const sim::SimResult r = simulate(p, policy, sim::SimOptions{});
-        EXPECT_NEAR(r.makespan, s.predicted_makespan, 1e-6 * s.predicted_makespan)
-            << "B/N=" << b_over_n << " cLat=" << clat << " nLat=" << nlat
-            << " M=" << s.rounds;
+        for (double tlat : {0.0, 0.7}) {
+          const platform::StarPlatform p = paperish(10, b_over_n, clat, nlat, tlat);
+          const UmrSchedule s = solve_umr(p, 1000.0);
+          UmrPolicy policy(s, DispatchOrder::kInOrder);
+          sim::SimOptions options;
+          if (tlat > 0.0) options.worker_buffer_capacity = std::numeric_limits<std::size_t>::max();
+          const sim::SimResult r = simulate(p, policy, options);
+          EXPECT_NEAR(r.makespan, s.predicted_makespan, 1e-6 * s.predicted_makespan)
+              << "B/N=" << b_over_n << " cLat=" << clat << " nLat=" << nlat
+              << " tLat=" << tlat << " M=" << s.rounds;
+        }
       }
     }
   }

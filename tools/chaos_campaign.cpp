@@ -38,6 +38,7 @@
 #include "stats/rng.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/scheduler_factory.hpp"
+#include "util/json_lite.hpp"
 
 namespace {
 
@@ -181,25 +182,12 @@ Scenario shrink_failure(Scenario scenario, const sweep::AlgorithmSpec& spec,
   return scenario;
 }
 
-void json_point(std::ostream& out, const ChaosPoint& point) {
-  out << "{\"loss\":" << point.loss << ",\"degraded_factor\":" << point.degraded_factor
-      << ",\"mtbf\":" << point.mtbf << ",\"error\":" << point.error << "}";
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
+util::JsonValue point_value(const ChaosPoint& point) {
+  using util::JsonValue;
+  return JsonValue::object({{"loss", JsonValue::number(point.loss)},
+                            {"degraded_factor", JsonValue::number(point.degraded_factor)},
+                            {"mtbf", JsonValue::number(point.mtbf)},
+                            {"error", JsonValue::number(point.error)}});
 }
 
 }  // namespace
@@ -329,49 +317,52 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_campaign: cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  out << "{\"grid\":\"" << grid << "\",\"seed\":" << seed << ",\"w_total\":" << kWTotal
-      << ",\"scenarios\":" << scenarios.size() << ",\"runs\":[";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const RunRecord& r = records[i];
-    if (i > 0) out << ',';
-    out << "{\"policy\":\"" << r.policy << "\",\"platform\":\"" << r.platform_label
-        << "\",\"point\":";
-    json_point(out, r.point);
-    out << ",\"ok\":" << (r.ok ? "true" : "false") << ",\"makespan\":" << r.makespan
-        << ",\"messages_lost\":" << r.messages_lost << ",\"retransmits\":" << r.retransmits
-        << ",\"duplicates_suppressed\":" << r.duplicates_suppressed
-        << ",\"fencings\":" << r.fencings << ",\"checkpoints_banked\":" << r.checkpoints_banked
-        << ",\"work_banked\":" << r.work_banked << "}";
+  using util::JsonValue;
+  JsonValue runs = JsonValue::array();
+  for (const RunRecord& r : records) {
+    runs.push_back(JsonValue::object(
+        {{"policy", JsonValue::string(r.policy)},
+         {"platform", JsonValue::string(r.platform_label)},
+         {"point", point_value(r.point)},
+         {"ok", JsonValue::boolean(r.ok)},
+         {"makespan", JsonValue::number_or_null(r.makespan)},
+         {"messages_lost", JsonValue::number(r.messages_lost)},
+         {"retransmits", JsonValue::number(r.retransmits)},
+         {"duplicates_suppressed", JsonValue::number(r.duplicates_suppressed)},
+         {"fencings", JsonValue::number(r.fencings)},
+         {"checkpoints_banked", JsonValue::number(r.checkpoints_banked)},
+         {"work_banked", JsonValue::number_or_null(r.work_banked)}}));
   }
-  out << "],\"curves\":{";
-  bool first_policy = true;
+  JsonValue curve_doc = JsonValue::object();
   for (const auto& [policy, points] : curves) {
-    if (!first_policy) out << ',';
-    first_policy = false;
-    out << '"' << policy << "\":[";
-    bool first_point = true;
+    JsonValue curve = JsonValue::array();
     for (const auto& [loss, point] : points) {
-      if (!first_point) out << ',';
-      first_point = false;
-      out << "{\"loss\":" << loss
-          << ",\"mean_slowdown\":" << point.slowdown_sum / static_cast<double>(point.runs)
-          << ",\"runs\":" << point.runs << "}";
+      curve.push_back(JsonValue::object(
+          {{"loss", JsonValue::number(loss)},
+           {"mean_slowdown",
+            JsonValue::number_or_null(point.slowdown_sum / static_cast<double>(point.runs))},
+           {"runs", JsonValue::number(point.runs)}}));
     }
-    out << ']';
+    curve_doc.set(policy, std::move(curve));
   }
-  out << "},\"failures\":[";
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    const auto& [record, repro] = failures[i];
-    if (i > 0) out << ',';
-    out << "{\"policy\":\"" << record.policy << "\",\"platform\":\"" << record.platform_label
-        << "\",\"point\":";
-    json_point(out, record.point);
-    out << ",\"what\":\"" << json_escape(record.failure) << "\",\"minimal\":{\"workers\":"
-        << repro.platform.n << ",\"point\":";
-    json_point(out, repro.point);
-    out << "}}";
+  JsonValue failure_list = JsonValue::array();
+  for (const auto& [record, repro] : failures) {
+    failure_list.push_back(JsonValue::object(
+        {{"policy", JsonValue::string(record.policy)},
+         {"platform", JsonValue::string(record.platform_label)},
+         {"point", point_value(record.point)},
+         {"what", JsonValue::string(record.failure)},
+         {"minimal", JsonValue::object({{"workers", JsonValue::number(repro.platform.n)},
+                                        {"point", point_value(repro.point)}})}}));
   }
-  out << "]}\n";
+  JsonValue doc = JsonValue::object({{"grid", JsonValue::string(grid)},
+                                     {"seed", JsonValue::number(static_cast<double>(seed))},
+                                     {"w_total", JsonValue::number(kWTotal)},
+                                     {"scenarios", JsonValue::number(scenarios.size())}});
+  doc.set("runs", std::move(runs));
+  doc.set("curves", std::move(curve_doc));
+  doc.set("failures", std::move(failure_list));
+  out << doc.dump() << '\n';
 
   std::printf("chaos_campaign: %zu scenarios x %zu policies = %zu runs, %zu failures -> %s\n",
               scenarios.size(), algorithms.size(), records.size(), failures.size(),

@@ -13,10 +13,11 @@
 //   rumr_serve --emit-demo-requests <file>
 //       Write the fixed demo session (ping, a batch, the identical batch
 //       again, a stats probe) as framed bytes, for piping into --stdio.
-//   rumr_serve --verify-demo-responses <file>
-//       Check the framed responses produced by serving the demo session:
-//       frame count and types, warm batch byte-identical to the cold one,
-//       and a cache ledger that actually recorded the warm hits.
+//   rumr_serve --verify-demo-responses <responses> <session-log>
+//       Check the framed responses produced by serving the demo session,
+//       and the session line --stdio wrote to stderr: frame count and
+//       types, warm batch byte-identical to the cold one, and a drained
+//       cache ledger that actually recorded the warm hits.
 //
 // Determinism contract: this binary never reads a clock or ambient
 // randomness; every response is a pure function of the request bytes.
@@ -25,6 +26,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +44,7 @@ int usage() {
                "usage: rumr_serve --stdio [--config <file>]\n"
                "       rumr_serve --self-test\n"
                "       rumr_serve --emit-demo-requests <file>\n"
-               "       rumr_serve --verify-demo-responses <file>\n");
+               "       rumr_serve --verify-demo-responses <responses> <session-log>\n");
   return 2;
 }
 
@@ -82,7 +84,18 @@ int emit_demo_requests(const std::string& path) {
   return out ? 0 : 1;
 }
 
-int verify_demo_responses(const std::string& path) {
+/// The ledger in the "rumr_serve: session {...}" line --stdio writes to
+/// stderr after the session drains.
+rumr::util::JsonValue read_session_ledger(const std::string& path) {
+  std::ifstream in(path);
+  const std::string prefix = "rumr_serve: session ";
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(prefix)) return rumr::util::JsonValue::parse(line.substr(prefix.size()));
+  }
+  throw std::runtime_error("no session ledger line in " + path);
+}
+
+int verify_demo_responses(const std::string& path, const std::string& session_path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "rumr_serve: cannot read %s\n", path.c_str());
@@ -118,13 +131,30 @@ int verify_demo_responses(const std::string& path) {
       return 1;
     }
   }
-  const rumr::util::JsonValue stats = rumr::util::JsonValue::parse(payloads[3]);
-  const rumr::util::JsonValue& cache = stats.at("stats").at("plan_cache");
+  // The stats request is answered when its frame is read, while the batches
+  // may still run: its snapshot guarantees only the requests received so
+  // far, none turned away, and no more than the session's 8 lookups.
+  const rumr::util::JsonValue stats_reply = rumr::util::JsonValue::parse(payloads[3]);
+  const rumr::util::JsonValue& inline_stats = stats_reply.at("stats");
+  const double completed = inline_stats.at("completed").as_number();
+  if (inline_stats.at("received").as_number() != 4.0 ||
+      inline_stats.at("rejected").as_number() != 0.0 ||
+      inline_stats.at("shed").as_number() != 0.0 || completed < 2.0 || completed > 4.0 ||
+      inline_stats.at("plan_cache").at("lookups").as_number() > 8.0) {
+    std::fprintf(stderr, "verify: inline stats snapshot off: %s\n", payloads[3].c_str());
+    return 1;
+  }
+  // The drained ledger: both batches looked up all 4 queries, and the warm
+  // one was served from the cache.
+  const rumr::util::JsonValue ledger = read_session_ledger(session_path);
+  const rumr::util::JsonValue& cache = ledger.at("plan_cache");
   const double hits = cache.at("hits").as_number();
   const double lookups = cache.at("lookups").as_number();
-  if (hits < 4.0 || lookups != 8.0) {
-    std::fprintf(stderr, "verify: cache ledger off: lookups=%g hits=%g (want 8 lookups, >=4 hits)\n",
-                 lookups, hits);
+  if (hits < 4.0 || lookups != 8.0 || ledger.at("completed").as_number() != 4.0) {
+    std::fprintf(stderr,
+                 "verify: session ledger off: lookups=%g hits=%g completed=%g (want 8 lookups, "
+                 ">=4 hits, 4 completed)\n",
+                 lookups, hits, ledger.at("completed").as_number());
     return 1;
   }
   std::printf("rumr_serve: demo responses verified (4 frames, warm == cold, %g/%g cache hits)\n",
@@ -316,8 +346,8 @@ int main(int argc, char** argv) {
   try {
     if (args[0] == "--self-test" && args.size() == 1) return self_test();
     if (args[0] == "--emit-demo-requests" && args.size() == 2) return emit_demo_requests(args[1]);
-    if (args[0] == "--verify-demo-responses" && args.size() == 2) {
-      return verify_demo_responses(args[1]);
+    if (args[0] == "--verify-demo-responses" && args.size() == 3) {
+      return verify_demo_responses(args[1], args[2]);
     }
     if (args[0] == "--stdio") {
       ServerOptions options;
