@@ -275,21 +275,21 @@ std::vector<sweep::AlgorithmSpec> lineup_from_names(const std::vector<std::strin
   return specs;
 }
 
-/// Each (name, platform) pair whose plan is too large for the platform.
-void add_size_problems(std::vector<std::string>& problems, std::span<const std::string> names,
-                       std::span<const sweep::SweepPlatform> platforms) {
-  for (const std::string& name : names) {
-    for (const sweep::SweepPlatform& p : platforms) {
-      if (std::string problem = config::policy_size_problem(name, p.platform.size());
-          !problem.empty()) {
-        problems.push_back("policy \"" + name + "\" on platform \"" + p.label + "\": " + problem);
-      }
+/// Each platform of `platforms` on which algorithm `name` is too large.
+void add_size_problem(std::vector<std::string>& problems, const std::string& name,
+                      std::span<const sweep::SweepPlatform> platforms) {
+  for (const sweep::SweepPlatform& p : platforms) {
+    if (std::string problem = config::policy_size_problem(name, p.platform.size());
+        !problem.empty()) {
+      problems.push_back("policy \"" + name + "\" on platform \"" + p.label + "\": " + problem);
     }
   }
 }
 
-/// The line-up's problems: each name that does not resolve or is too large
-/// for one of `platforms`, or an empty line-up when no names were given.
+/// The line-up's problems: each name that does not resolve, each member
+/// too large for one of `platforms` (by the config name a spec was looked
+/// up by; a hand-built spec has none), or an empty line-up when no names
+/// were given.
 void add_lineup_problems(std::vector<std::string>& problems,
                          const std::vector<sweep::AlgorithmSpec>& specs,
                          const std::vector<std::string>& names,
@@ -300,7 +300,9 @@ void add_lineup_problems(std::vector<std::string>& problems,
       problems.push_back("policy \"" + name + "\": " + problem);
     }
   }
-  add_size_problems(problems, names, platforms);
+  for (const sweep::AlgorithmSpec& spec : specs) {
+    add_size_problem(problems, spec.config_name, platforms);
+  }
 }
 
 }  // namespace
@@ -635,7 +637,7 @@ std::vector<std::string> Sweep::validate() const {
   if (jobs_mode_) {
     const sweep::JobsSweepOptions options = open_options();
     for (std::string& p : options.validate()) problems.push_back(std::move(p));
-    add_size_problems(problems, {&jobs_base_.algorithm, 1}, platforms_);
+    add_size_problem(problems, jobs_base_.algorithm, platforms_);
     if (cell_consumer_) {
       problems.emplace_back(
           "a closed-system on_cell consumer is set but the sweep is open-system — "

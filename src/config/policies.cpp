@@ -170,10 +170,12 @@ AlgorithmSpec policy_spec(std::string_view name) {
   const Lookup found = resolve(name);
   std::string display(found.row->display_name);
   if (found.row->max_param != 0) display += std::to_string(found.param);
-  return {std::move(display), [prepare = found.row->prepare, param = found.param](
-                                  const StarPlatform& p, double w_total, double error) {
+  return {std::move(display),
+          [prepare = found.row->prepare, param = found.param](
+              const StarPlatform& p, double w_total, double error) {
             return prepare(p, w_total, error, param);
-          }};
+          },
+          std::string(name)};
 }
 
 std::string policy_name_problem(std::string_view name) { return problem_of(lookup(name), name); }

@@ -40,6 +40,10 @@ struct AlgorithmSpec {
   std::function<PreparedPolicy(const platform::StarPlatform& platform, double w_total,
                                double error)>
       prepare;
+  /// The config name policy_spec looked this spec up by, so a line-up of
+  /// specs can be checked against a platform's size before it runs; empty
+  /// for a hand-built spec.
+  std::string config_name{};
 
   /// One run's policy from a freshly prepared plan: equal to every instance
   /// of prepare(platform, w_total, error).

@@ -8,10 +8,11 @@ namespace rumr::linalg {
 
 namespace {
 constexpr double kPivotEpsilon = 1e-13;
+using detail::require_size;
 }
 
 LuDecomposition lu_factor(Matrix a) {
-  assert(a.rows() == a.cols() && "LU requires a square matrix");
+  require_size(a.cols(), a.rows(), "lu_factor: matrix columns");
   const std::size_t n = a.rows();
   LuDecomposition f;
   f.pivots.resize(n);
@@ -50,7 +51,9 @@ LuDecomposition lu_factor(Matrix a) {
 std::vector<double> lu_solve(const LuDecomposition& f, const std::vector<double>& b) {
   assert(!f.singular && "lu_solve on a singular factorization");
   const std::size_t n = f.lu.rows();
-  assert(b.size() == n);
+  require_size(f.lu.cols(), n, "lu_solve: factor columns");
+  require_size(f.pivots.size(), n, "lu_solve: pivots");
+  require_size(b.size(), n, "lu_solve: b");
   std::vector<double> x = b;
 
   // Apply the full row permutation first (the swap at step k touches rows
@@ -71,6 +74,7 @@ std::vector<double> lu_solve(const LuDecomposition& f, const std::vector<double>
 }
 
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
+  require_size(b.size(), a.rows(), "solve: b");
   const LuDecomposition f = lu_factor(a);
   if (f.singular) return {};
   return lu_solve(f, b);
@@ -86,6 +90,7 @@ double determinant(const Matrix& a) {
 
 double residual_inf_norm(const Matrix& a, const std::vector<double>& x,
                          const std::vector<double>& b) {
+  require_size(b.size(), a.rows(), "residual_inf_norm: b");
   const std::vector<double> ax = a.multiply(x);
   double worst = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i) worst = std::max(worst, std::abs(ax[i] - b[i]));

@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file lu.hpp
-/// LU decomposition with partial pivoting and linear solves.
+/// LU decomposition with partial pivoting and linear solves. Every function
+/// here throws std::invalid_argument on a shape mismatch: a matrix that must
+/// be square and is not, or a vector whose length does not match the matrix.
 
 #include <vector>
 
@@ -23,7 +25,7 @@ struct LuDecomposition {
 [[nodiscard]] LuDecomposition lu_factor(Matrix a);
 
 /// Solves LU x = b for one right-hand side. Requires a non-singular
-/// factorization of matching size.
+/// factorization; b.size() must equal its order.
 [[nodiscard]] std::vector<double> lu_solve(const LuDecomposition& f,
                                            const std::vector<double>& b);
 
@@ -35,6 +37,7 @@ struct LuDecomposition {
 [[nodiscard]] double determinant(const Matrix& a);
 
 /// Max-norm of the residual A x - b; useful for verifying solve quality.
+/// x.size() must equal a.cols() and b.size() a.rows().
 [[nodiscard]] double residual_inf_norm(const Matrix& a, const std::vector<double>& x,
                                        const std::vector<double>& b);
 

@@ -3,13 +3,32 @@
 /// \file matrix.hpp
 /// Minimal dense row-major matrix. Sized for the Multi-Installment schedule
 /// solver (systems of a few hundred unknowns), not for large-scale BLAS work.
+///
+/// Shapes are checked once, at each entry point that takes a second operand
+/// (here and in lu.hpp), with std::invalid_argument in every build.
+/// Element access is checked by assert only: it is the LU's inner loop.
 
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace rumr::linalg {
+
+namespace detail {
+
+/// Throws std::invalid_argument unless `actual == expected`; `what` names
+/// the operand.
+inline void require_size(std::size_t actual, std::size_t expected, const char* what) {
+  if (actual != expected) {
+    throw std::invalid_argument(std::string(what) + " has size " + std::to_string(actual) +
+                                ", expected " + std::to_string(expected));
+  }
+}
+
+}  // namespace detail
 
 /// Dense row-major matrix of doubles with bounds-checked (assert) access.
 class Matrix {
@@ -21,13 +40,13 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
   /// Construction from nested initializer lists, e.g. {{1,2},{3,4}}.
-  /// All rows must have equal length.
+  /// All rows must have equal length (std::invalid_argument otherwise).
   Matrix(std::initializer_list<std::initializer_list<double>> rows) {
     rows_ = rows.size();
     cols_ = rows_ > 0 ? rows.begin()->size() : 0;
     data_.reserve(rows_ * cols_);
     for (const auto& row : rows) {
-      assert(row.size() == cols_ && "ragged initializer for Matrix");
+      detail::require_size(row.size(), cols_, "Matrix initializer row");
       data_.insert(data_.end(), row.begin(), row.end());
     }
   }
@@ -52,9 +71,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Matrix-vector product. Requires x.size() == cols().
+  /// Matrix-vector product. Throws std::invalid_argument unless
+  /// x.size() == cols().
   [[nodiscard]] std::vector<double> multiply(const std::vector<double>& x) const {
-    assert(x.size() == cols_);
+    detail::require_size(x.size(), cols_, "multiply: x");
     std::vector<double> y(rows_, 0.0);
     for (std::size_t r = 0; r < rows_; ++r) {
       double acc = 0.0;

@@ -34,9 +34,9 @@ void PlanCache::evict_to_budget(Shard& shard) {
   }
 }
 
-std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& canonical_key,
+std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& key,
                                                              const Solver& solve) {
-  const std::uint64_t fingerprint = fnv1a64(canonical_key);
+  const std::uint64_t fingerprint = fnv1a64(key);
   Shard& shard = *shards_[fingerprint % shards_.size()];
 
   enum class Path : unsigned char { kHit, kCollision, kSolve };
@@ -47,7 +47,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stats.lookups += 1;
     const auto it = shard.entries.find(fingerprint);
-    if (it != shard.entries.end() && it->second.key == canonical_key) {
+    if (it != shard.entries.end() && it->second.key == key) {
       // Hit — including a waiter that arrives while the first solver is
       // still running (the pending entry carries the future it will fill).
       shard.stats.hits += 1;
@@ -60,7 +60,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
       waiting = entry.plan;
       path = Path::kHit;
     } else if (it != shard.entries.end()) {
-      // Same fingerprint, different canonical bytes: a genuine 64-bit
+      // Same fingerprint, different key bytes: a genuine 64-bit
       // collision. Solve uncached — correctness over reuse — and count it.
       shard.stats.misses += 1;
       shard.stats.collisions += 1;
@@ -70,7 +70,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
       // outside the lock.
       shard.stats.misses += 1;
       Entry entry;
-      entry.key = canonical_key;
+      entry.key = key;
       entry.plan = promise.get_future().share();
       shard.entries.emplace(fingerprint, std::move(entry));
     }
@@ -98,7 +98,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
     std::lock_guard<std::mutex> lock(shard.mutex);
     Entry& entry = shard.entries.at(fingerprint);
     entry.ready = true;
-    entry.bytes = canonical_key.size() + plan->size();
+    entry.bytes = key.size() + plan->size();
     entry.tick = shard.next_tick++;
     shard.lru.emplace(entry.tick, fingerprint);
     shard.stats.insertions += 1;

@@ -3,10 +3,12 @@
 /// \file plan_cache.hpp
 /// Content-addressed, concurrency-safe cache of solved scheduling plans.
 ///
-/// Keys are canonical query bytes (serve::canonical_query_key); the cache
-/// indexes them by their 64-bit FNV-1a fingerprint and keeps the full key in
-/// every entry, so a fingerprint collision is detected (and counted) rather
-/// than served as a silent wrong answer — a collision solves uncached.
+/// Keys are opaque bytes: the server uses serve::binary_query_key, which a
+/// warm hit builds without formatting a number; any byte string that names
+/// one problem works. The cache indexes keys by their 64-bit FNV-1a hash and
+/// keeps the full key in every entry, so a hash collision is detected (and
+/// counted) rather than served as a silent wrong answer — a collision
+/// solves uncached.
 ///
 /// Concurrency model: the fingerprint space is striped over S shards, each
 /// guarded by its own mutex; a lookup locks exactly one shard and never
@@ -52,8 +54,8 @@ struct PlanCacheOptions {
 
 class PlanCache {
  public:
-  /// Solves one canonical query into its serialized plan bytes. May throw;
-  /// the exception reaches every thread waiting on that key.
+  /// Solves one query into its serialized plan bytes. May throw; the
+  /// exception reaches every thread waiting on that key.
   using Solver = std::function<std::string()>;
 
   explicit PlanCache(const PlanCacheOptions& options = {});
@@ -61,11 +63,11 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the plan for `canonical_key`, running `solve` at most once per
-  /// resident key across all threads. Rethrows the solver's exception on
-  /// failure (for this call and every concurrent waiter).
-  [[nodiscard]] std::shared_ptr<const std::string> get_or_compute(
-      const std::string& canonical_key, const Solver& solve);
+  /// Returns the plan for `key`, running `solve` at most once per resident
+  /// key across all threads. Rethrows the solver's exception on failure
+  /// (for this call and every concurrent waiter).
+  [[nodiscard]] std::shared_ptr<const std::string> get_or_compute(const std::string& key,
+                                                                  const Solver& solve);
 
   /// Aggregated counters over all shards (a consistent-enough snapshot:
   /// each shard is read under its own lock).
@@ -75,7 +77,7 @@ class PlanCache {
   using PlanPtr = std::shared_ptr<const std::string>;
 
   struct Entry {
-    std::string key;                 ///< Full canonical bytes (collision check).
+    std::string key;                 ///< Full key bytes (collision check).
     std::shared_future<PlanPtr> plan;
     std::uint64_t tick = 0;          ///< LRU stamp; valid iff ready.
     std::size_t bytes = 0;           ///< key + plan bytes; 0 until ready.

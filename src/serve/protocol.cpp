@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "util/json_lite.hpp"
 
@@ -228,6 +229,19 @@ Query parse_query(const JsonValue& v) {
 /// response envelopes never go through double formatting).
 void append_decimal(std::string& out, std::uint64_t value) { out += std::to_string(value); }
 
+// A worker's bytes are exactly the bit patterns of its five doubles.
+static_assert(sizeof(platform::WorkerSpec) == 5 * sizeof(double));
+
+/// Appends the bytes of `value` in host order (binary keys never leave the
+/// process).
+template <typename T>
+void append_bytes(std::string& out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof value];
+  std::memcpy(bytes, &value, sizeof value);
+  out.append(bytes, sizeof value);
+}
+
 }  // namespace
 
 // --- Framing ---------------------------------------------------------------
@@ -415,6 +429,36 @@ std::string canonical_query_key(const Query& query) {
   key += ",\"worker_buffer_capacity\":";
   append_decimal(key, query.worker_buffer_capacity);
   key += '}';
+  return key;
+}
+
+std::string binary_query_key(const Query& query) {
+  // Fixed-width fields, the length-prefixed algorithm, then fixed-width runs
+  // to the end: every field's extent is known, so the encoding is
+  // unambiguous. Runs are maximal, so one worker list has one encoding.
+  // Bitwise equality is text equality: distinct finite doubles, 0.0 and
+  // -0.0 included, have distinct shortest-round-trip spellings.
+  std::string key;
+  // Eight words, the name, and room for four runs.
+  key.reserve(8 * 8 + query.algorithm.size() + 4 * (8 + sizeof(platform::WorkerSpec)));
+  append_bytes(key, query.workload);
+  append_bytes(key, query.known_error);
+  append_bytes(key, query.error);
+  append_bytes(key, query.seed);
+  append_bytes(key, query.uplink_channels);
+  append_bytes(key, query.output_ratio);
+  append_bytes(key, query.worker_buffer_capacity);
+  append_bytes(key, query.algorithm.size());
+  key += query.algorithm;
+  const std::vector<platform::WorkerSpec>& workers = query.workers;
+  for (std::size_t begin = 0, end = 0; begin < workers.size(); begin = end) {
+    while (end < workers.size() &&
+           std::memcmp(&workers[end], &workers[begin], sizeof(platform::WorkerSpec)) == 0) {
+      ++end;
+    }
+    append_bytes(key, end - begin);
+    append_bytes(key, workers[begin]);
+  }
   return key;
 }
 

@@ -178,8 +178,19 @@ struct Request {
 /// a fixed key order, the worker list always explicit, every number printed
 /// by the shortest-round-trip writer, and the seed carried as a decimal
 /// string (it may exceed 2^53). Two queries describe the same problem iff
-/// their canonical keys are byte-identical; the plan cache keys on this.
+/// their canonical keys are byte-identical. A plan's fingerprint is the
+/// FNV-1a hash of this text, so it is built once per cold solve.
 [[nodiscard]] std::string canonical_query_key(const Query& query);
+
+/// The plan cache's key for a query: opaque, in-process bytes that two
+/// queries share exactly when their canonical_query_key texts are equal,
+/// built without formatting a number. It holds the bit pattern of every
+/// double and integer field, one entry per run of bitwise-identical workers
+/// (run length plus its five doubles), and the algorithm as length-prefixed
+/// bytes. The one place the two forms part: algorithm bytes that are not
+/// valid UTF-8, which the text folds into U+FFFD and this form keeps apart
+/// (no registry name holds such bytes, so those solves fail either way).
+[[nodiscard]] std::string binary_query_key(const Query& query);
 
 /// FNV-1a 64-bit over a byte string (the cache's shard/fingerprint hash;
 /// same constants as sweep::derive_rep_seed's label fold).

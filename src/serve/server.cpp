@@ -86,46 +86,29 @@ std::future<std::string> Server::submit(std::string payload) {
 }
 
 std::future<std::string> Server::submit(std::string payload, bool wait_for_room) {
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-
-  Request request;
-  try {
-    request = parse_request(payload);
-  } catch (const ProtocolError& e) {
-    // Well-framed but not a request: answered in place, counted as a
-    // protocol error. The envelope never parsed, so no id is known.
+  Pending item;
+  std::future<std::string> future = item.promise.get_future();
+  {
+    // An executor is free only while the queue is empty (worker_run drains
+    // the queue before it releases a slot), so admitting the payload
+    // unparsed keeps FCFS order; the executor parses it.
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.received += 1;
-    stats_.protocol_errors += 1;
-    stats_.admitted += 1;
-    stats_.completed += 1;
-    promise.set_value(make_error_response(-1, e.what()));
-    return future;
-  }
-
-  if (request.type == RequestType::kPing || request.type == RequestType::kStats) {
-    // Control requests bypass the queue: they must answer even when the
-    // executor is saturated (that is what makes stats useful under load).
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
+    if (in_service_ < pool_.thread_count()) {
+      in_service_ += 1;
       stats_.received += 1;
       stats_.admitted += 1;
-      stats_.completed += 1;
+      item.payload = std::move(payload);
     }
-    if (request.type == RequestType::kPing) {
-      promise.set_value(make_pong_response(request.id));
-    } else {
-      promise.set_value("{\"type\":\"stats\",\"id\":" + std::to_string(request.id) +
-                        ",\"stats\":" + obs::to_json(stats()) + "}");
-    }
-    return future;
   }
 
-  Pending item;
-  item.request = std::move(request);
-  item.promise = std::move(promise);
-  {
+  if (!item.payload) {
+    // Every executor is busy: parse here. Control requests must answer even
+    // when the executor is saturated (that is what makes stats useful under
+    // load), and a batch is queued by its id, priority and size.
+    if (std::optional<std::string> answer = answer_unqueued(payload, item.request, false)) {
+      item.promise.set_value(std::move(*answer));
+      return future;
+    }
     std::unique_lock<std::mutex> lock(mutex_);
     if (wait_for_room) {
       room_cv_.wait(lock, [this] {
@@ -171,23 +154,50 @@ std::future<std::string> Server::submit(std::string payload, bool wait_for_room)
   return future;
 }
 
+std::optional<std::string> Server::answer_unqueued(const std::string& payload, Request& request,
+                                                   bool admitted) {
+  std::optional<std::string> error;
+  try {
+    request = parse_request(payload);
+  } catch (const ProtocolError& e) {
+    error = e.what();
+  }
+  if (!error && request.type == RequestType::kBatch) return std::nullopt;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!admitted) {
+      stats_.received += 1;
+      stats_.admitted += 1;
+    }
+    if (error) stats_.protocol_errors += 1;
+    stats_.completed += 1;
+  }
+  // Well-framed but not a request: the envelope never parsed, so no id is
+  // known.
+  if (error) return make_error_response(-1, *error);
+  if (request.type == RequestType::kPing) return make_pong_response(request.id);
+  return "{\"type\":\"stats\",\"id\":" + std::to_string(request.id) +
+         ",\"stats\":" + obs::to_json(stats()) + "}";
+}
+
 std::string Server::handle(std::string payload) { return submit(std::move(payload)).get(); }
 
 void Server::worker_run(Pending item) {
   for (;;) {
-    std::string response;
-    try {
-      response = execute_batch(item.request);
-    } catch (const std::exception& e) {
-      response = make_error_response(item.request.id, e.what());
-    }
-    {
+    std::optional<std::string> response;
+    if (item.payload) response = answer_unqueued(*item.payload, item.request, true);
+    if (!response) {
+      try {
+        response = execute_batch(item.request);
+      } catch (const std::exception& e) {
+        response = make_error_response(item.request.id, e.what());
+      }
       // Counted before the promise resolves, so a client that just got its
       // response (and immediately reads stats()) sees a consistent ledger.
       std::lock_guard<std::mutex> lock(mutex_);
       stats_.completed += 1;
     }
-    item.promise.set_value(std::move(response));
+    item.promise.set_value(std::move(*response));
 
     std::lock_guard<std::mutex> lock(mutex_);
     // This request's slot is released now: to the next queued request (the
@@ -250,10 +260,9 @@ std::string Server::execute_batch(const Request& request) {
       results[i] = make_query_error(slot.error);
       return;
     }
-    const std::string key = canonical_query_key(*slot.query);
     try {
-      results[i] =
-          *cache_.get_or_compute(key, [&] { return solve_query(*slot.query, fnv1a64(key)); });
+      results[i] = *cache_.get_or_compute(binary_query_key(*slot.query),
+                                          [&] { return solve_query(*slot.query); });
     } catch (const std::exception& e) {
       // Solver failures (unknown algorithm, invalid platform, audit
       // violation) answer this query; the rest of the batch is unaffected.
@@ -271,11 +280,14 @@ std::string Server::execute_batch(const Request& request) {
   return make_result_response(request.id, results);
 }
 
-std::string Server::solve_query(const Query& query, std::uint64_t fingerprint) {
+std::string Server::solve_query(const Query& query) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.solves += 1;
   }
+  // The text key is formatted on a miss only; its hash is the fingerprint
+  // every response for this query carries.
+  const std::uint64_t fingerprint = fnv1a64(canonical_query_key(query));
   const platform::StarPlatform platform{std::vector<platform::WorkerSpec>(query.workers)};
   const auto policy =
       config::make_policy(query.algorithm, platform, query.workload, query.known_error);

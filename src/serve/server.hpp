@@ -11,11 +11,18 @@
 /// disciplines (FCFS, shortest-batch-first, priority). The ledger is
 /// audited by check::audit_serve_stats.
 ///
-/// Execution path per query: canonicalize -> plan-cache lookup -> on miss,
+/// Admission comes before parsing. While an executor is free the queue is
+/// empty, so the raw payload is admitted and the executor that runs it
+/// parses it; only when every executor is busy does the submitting thread
+/// parse, to answer a control request at once or to queue a batch with the
+/// id, priority and size its discipline needs.
+///
+/// Execution path per query: binary key (serve::binary_query_key) ->
+/// plan-cache lookup -> on miss, the canonical text key and its fingerprint,
 /// build the platform, instantiate the named policy (config::make_policy),
 /// run sim::simulate with a recorded trace, audit, and serialize the chunk
-/// plan. The cache stores the serialized bytes, so a warm response is
-/// byte-identical to the cold one by construction.
+/// plan. The cache stores the serialized bytes, fingerprint included, so a
+/// warm response is byte-identical to the cold one by construction.
 ///
 /// Determinism: no wall-clock, no ambient randomness — every response is a
 /// pure function of the request bytes (and, for "stats" requests, of the
@@ -29,6 +36,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -71,9 +79,12 @@ class Server {
 
   /// Submits one frame payload. The future resolves to the response payload
   /// (never throws through the future: every failure is an error response).
-  /// Ping/stats requests, malformed payloads, and admission rejections are
-  /// answered synchronously; batch requests go through admission control
-  /// and run on the executor pool.
+  /// A payload that finds an executor free is admitted unparsed and answered
+  /// there, whatever it holds. Otherwise it is parsed here: a ping, a stats
+  /// request or a malformed payload is answered synchronously (control
+  /// requests never wait behind a batch), and a batch is queued, rejected
+  /// or sheds a waiter. A stats reply is a snapshot taken when it is
+  /// answered, and counts itself as completed.
   [[nodiscard]] std::future<std::string> submit(std::string payload);
 
   /// submit() + wait: the synchronous convenience path.
@@ -97,7 +108,9 @@ class Server {
 
  private:
   struct Pending {
-    Request request;
+    /// The payload of a request admitted unparsed; its executor parses it.
+    std::optional<std::string> payload;
+    Request request;  ///< Parsed at admission, or by the executor.
     std::promise<std::string> promise;
     std::uint64_t seq = 0;  ///< Arrival order (FCFS / tie-break key).
   };
@@ -105,10 +118,19 @@ class Server {
   /// submit(); with `wait_for_room`, a batch request that finds admission
   /// full waits for a slot instead of being rejected or shedding a waiter.
   [[nodiscard]] std::future<std::string> submit(std::string payload, bool wait_for_room);
+  /// Parses `payload` into `request` and answers it unless it is a batch:
+  /// a malformed payload, a ping or a stats request never waits in the
+  /// queue. Each is counted completed (a malformed one also as a protocol
+  /// error) before a stats snapshot is taken, so a stats reply counts
+  /// itself. `admitted` says that admission already counted the request
+  /// received and admitted (the executor path); the inline path counts both
+  /// here. Returns std::nullopt for a batch.
+  [[nodiscard]] std::optional<std::string> answer_unqueued(const std::string& payload,
+                                                           Request& request, bool admitted);
   /// Executes one batch request to a response payload (no locks held).
   [[nodiscard]] std::string execute_batch(const Request& request);
   /// Solves one query cold (the cache-miss path).
-  [[nodiscard]] std::string solve_query(const Query& query, std::uint64_t fingerprint);
+  [[nodiscard]] std::string solve_query(const Query& query);
   /// Worker loop: serve `item`, then chain onto queued requests until the
   /// queue is empty.
   void worker_run(Pending item);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "stats/rng.hpp"
 
 namespace rumr::linalg {
@@ -29,6 +32,36 @@ TEST(Matrix, IdentityMultiplyIsIdentity) {
   const Matrix eye = Matrix::identity(4);
   const std::vector<double> x = {1.0, -2.0, 3.0, 0.5};
   EXPECT_EQ(eye.multiply(x), x);
+}
+
+// Shape checks are exceptions, not asserts, so these hold in release builds.
+TEST(Matrix, MisShapedOperandsThrowInEveryBuild) {
+  EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
+  const Matrix m(3, 2);
+  EXPECT_THROW((void)m.multiply(std::vector<double>(3, 1.0)), std::invalid_argument);
+  EXPECT_EQ(m.multiply(std::vector<double>(2, 1.0)).size(), 3u);
+}
+
+TEST(Lu, MisShapedCallsThrowInEveryBuild) {
+  const Matrix tall(3, 2);
+  const Matrix square = Matrix::identity(3);
+  const std::vector<double> three(3, 1.0);
+  const std::vector<double> two(2, 1.0);
+
+  EXPECT_THROW((void)lu_factor(tall), std::invalid_argument);
+  EXPECT_THROW((void)solve(tall, three), std::invalid_argument);
+  EXPECT_THROW((void)determinant(tall), std::invalid_argument);
+  EXPECT_THROW((void)solve(square, two), std::invalid_argument);
+  EXPECT_THROW((void)residual_inf_norm(square, two, three), std::invalid_argument);
+  EXPECT_THROW((void)residual_inf_norm(square, three, two), std::invalid_argument);
+
+  LuDecomposition f = lu_factor(square);
+  EXPECT_THROW((void)lu_solve(f, two), std::invalid_argument);
+  f.pivots.pop_back();
+  EXPECT_THROW((void)lu_solve(f, three), std::invalid_argument);
+
+  EXPECT_EQ(solve(square, three), three);
+  EXPECT_EQ(residual_inf_norm(square, three, three), 0.0);
 }
 
 TEST(Lu, SolvesDiagonalSystem) {

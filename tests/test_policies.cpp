@@ -142,6 +142,12 @@ TEST(PolicyRegistry, EveryFrontDoorRejectsTheSameBadNames) {
                     .validate()},
       {"Race", rumr::Race().platform(p, "p").policies(std::vector<std::string>{"rumr", "mi-171"})
                    .validate()},
+      {"spec Sweep",
+       rumr::Sweep().platform(p, "p").policies({sweep::rumr_spec(), sweep::mi_spec(171)})
+           .validate()},
+      {"spec Race",
+       rumr::Race().platform(p, "p").policies({sweep::rumr_spec(), sweep::mi_spec(171)})
+           .validate()},
       {"open-system Sweep", [&] {
          jobs::JobsOptions options;
          options.algorithm = "mi-171";

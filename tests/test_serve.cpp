@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -24,29 +25,17 @@
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_config.hpp"
+#include "serve_payloads.hpp"
+#include "stats/rng.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr::serve {
 namespace {
 
 // --- Helpers ----------------------------------------------------------------
 
-/// A small, fully explicit query payload; vary `seed` for distinct cache keys.
-std::string query_json(std::uint64_t seed, const std::string& algorithm = "rumr") {
-  return "{\"platform\":{\"homogeneous\":{\"workers\":4,\"speed\":1,\"bandwidth\":12}},"
-         "\"workload\":250,\"algorithm\":\"" +
-         algorithm + "\",\"known_error\":0.3,\"error\":0.3,\"seed\":" + std::to_string(seed) +
-         "}";
-}
-
-std::string batch_json(std::int64_t id, const std::vector<std::string>& queries) {
-  std::string payload = "{\"type\":\"batch\",\"id\":" + std::to_string(id) + ",\"queries\":[";
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (i != 0) payload += ',';
-    payload += queries[i];
-  }
-  payload += "]}";
-  return payload;
-}
+using test_support::batch_json;
+using test_support::query_json;
 
 ProtocolError::Kind decode_kind(const std::string& bytes) {
   FrameDecoder decoder;
@@ -246,6 +235,146 @@ TEST(ServeCanonicalKey, Fnv1a64MatchesReferenceConstants) {
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
 }
 
+// --- Binary cache keys ------------------------------------------------------
+
+Query parse_query_json(const std::string& query) {
+  const Request request = parse_request(batch_json(1, {query}));
+  EXPECT_TRUE(request.queries[0].query.has_value()) << request.queries[0].error;
+  return *request.queries[0].query;
+}
+
+/// Over every pair of `queries`: the binary keys are equal exactly when the
+/// canonical texts are.
+void expect_keys_agree(const std::vector<Query>& queries) {
+  std::vector<std::string> texts;
+  std::vector<std::string> binaries;
+  for (const Query& q : queries) {
+    texts.push_back(canonical_query_key(q));
+    binaries.push_back(binary_query_key(q));
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+      EXPECT_EQ(binaries[i] == binaries[j], texts[i] == texts[j])
+          << "queries " << i << " and " << j << ":\n  " << texts[i] << "\n  " << texts[j];
+    }
+  }
+}
+
+TEST(ServeBinaryKey, EqualExactlyWhenTheCanonicalTextsAreEqual) {
+  // The canonical-equivalence cases: shorthand against the explicit list,
+  // and every field participating.
+  const Query shorthand = parse_query_json(
+      "{\"platform\":{\"homogeneous\":{\"workers\":3,\"speed\":2,\"bandwidth\":8}},"
+      "\"workload\":500,\"seed\":7}");
+  const Query explicit_list = parse_query_json(
+      "{\"platform\":{\"workers\":[{\"speed\":2,\"bandwidth\":8},{\"speed\":2,\"bandwidth\":8},"
+      "{\"speed\":2,\"bandwidth\":8}]},\"workload\":500,\"seed\":7}");
+  EXPECT_EQ(binary_query_key(shorthand), binary_query_key(explicit_list));
+
+  const Query base = parse_query_json(
+      "{\"platform\":{\"workers\":[{\"speed\":2,\"bandwidth\":30,\"comp_latency\":0.1},"
+      "{\"speed\":2,\"bandwidth\":30,\"comp_latency\":0.1},{\"speed\":1,\"bandwidth\":15},"
+      "{\"speed\":1,\"bandwidth\":15},{\"speed\":0.5,\"bandwidth\":8,\"comm_latency\":0.2}]},"
+      "\"workload\":1000,\"algorithm\":\"rumr\",\"known_error\":0.3,\"error\":0.3,"
+      "\"seed\":\"12345678901234567\",\"uplink_channels\":2,\"output_ratio\":0.25,"
+      "\"worker_buffer_capacity\":3}");
+  std::vector<Query> family = {shorthand, explicit_list, base, base};
+
+  // Seeded one-ulp moves of every double field, up and down, plus one-step
+  // moves of every integer field.
+  stats::Rng rng(20031);
+  const auto nudge = [&](double v) {
+    return std::nextafter(v, rng.uniform_index(2) == 0 ? -HUGE_VAL : HUGE_VAL);
+  };
+  for (int round = 0; round < 4; ++round) {
+    Query q = base;
+    q.workload = nudge(q.workload);
+    family.push_back(q);
+    q = base;
+    q.known_error = nudge(q.known_error);
+    family.push_back(q);
+    q = base;
+    q.error = nudge(q.error);
+    family.push_back(q);
+    q = base;
+    q.output_ratio = nudge(q.output_ratio);
+    family.push_back(q);
+    const std::size_t w = rng.uniform_index(base.workers.size());
+    for (double platform::WorkerSpec::*field :
+         {&platform::WorkerSpec::speed, &platform::WorkerSpec::bandwidth,
+          &platform::WorkerSpec::comp_latency, &platform::WorkerSpec::comm_latency,
+          &platform::WorkerSpec::transfer_latency}) {
+      q = base;
+      q.workers[w].*field = nudge(q.workers[w].*field);
+      family.push_back(q);
+    }
+  }
+  Query q = base;
+  q.uplink_channels += 1;
+  family.push_back(q);
+  q = base;
+  q.worker_buffer_capacity += 1;
+  family.push_back(q);
+
+  // -0.0 against 0.0, in a latency and in `error`.
+  q = base;
+  q.workers[2].comp_latency = -0.0;
+  family.push_back(q);
+  q.workers[2].comp_latency = 0.0;
+  family.push_back(q);
+  q = base;
+  q.error = -0.0;
+  family.push_back(q);
+  q.error = 0.0;
+  family.push_back(q);
+
+  // Seeds around 2^53, where a double stops being exact.
+  for (const std::uint64_t seed :
+       {(1ULL << 53) - 1, 1ULL << 53, (1ULL << 53) + 1, (1ULL << 53) + 1}) {
+    q = base;
+    q.seed = seed;
+    family.push_back(q);
+  }
+
+  // Algorithm names with a quote, a backslash and non-ASCII (UTF-8) bytes,
+  // including ones that spell another name's escape.
+  for (const char* name : {"ru\"mr", "ru\\mr", "ru\\\"mr", "r\xc3\xa9mr", "r\\u00e9mr",
+                           "\xe6\x97\xa5\xe6\x9c\xac", "\xf0\x9f\x99\x82", "r\xc3\xa9mr"}) {
+    q = base;
+    q.algorithm = name;
+    family.push_back(q);
+  }
+
+  // Runs: a homogeneous list, the same list with one worker moved by one
+  // ulp (splitting its run), the same workers reordered, and one fewer.
+  q = base;
+  q.workers.assign(8, base.workers[0]);
+  family.push_back(q);
+  Query split = q;
+  split.workers[3].speed = std::nextafter(split.workers[3].speed, HUGE_VAL);
+  family.push_back(split);
+  Query reordered = base;
+  std::swap(reordered.workers[1], reordered.workers[2]);
+  family.push_back(reordered);
+  q.workers.pop_back();
+  family.push_back(q);
+
+  expect_keys_agree(family);
+}
+
+TEST(ServeBinaryKey, InvalidUtf8AlgorithmBytesStayApart) {
+  // The text key folds each invalid byte into U+FFFD; the binary key keeps
+  // the bytes, so it is the finer of the two here. No registry name holds
+  // such bytes, so both queries fail to solve either way.
+  const Query base = parse_query_json(query_json(7));
+  Query a = base;
+  a.algorithm = "\xff";
+  Query b = base;
+  b.algorithm = "\xfe";
+  EXPECT_EQ(canonical_query_key(a), canonical_query_key(b));
+  EXPECT_NE(binary_query_key(a), binary_query_key(b));
+}
+
 // --- Plan cache -------------------------------------------------------------
 
 TEST(PlanCache, ExactlyOnceUnderConcurrentLookups) {
@@ -423,12 +552,71 @@ TEST(ServeServer, PerQueryErrorsDoNotPoisonTheBatch) {
   EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
 }
 
-TEST(ServeServer, PingAndStatsAnswerInline) {
-  Server server{ServerOptions{}};
-  EXPECT_EQ(server.handle("{\"type\":\"ping\",\"id\":8}"), "{\"type\":\"pong\",\"id\":8}");
-  const std::string stats_response = server.handle("{\"type\":\"stats\",\"id\":9}");
-  EXPECT_NE(stats_response.find("\"type\":\"stats\""), std::string::npos);
-  EXPECT_NE(stats_response.find("\"plan_cache\""), std::string::npos);
+/// One counter of a stats reply's ledger.
+std::uint64_t reply_count(const std::string& reply, const char* field) {
+  const util::JsonValue doc = util::JsonValue::parse(reply);
+  return static_cast<std::uint64_t>(doc.find("stats")->find(field)->as_number());
+}
+
+TEST(ServeServer, ControlRequestsAnswerAlikeOnAnExecutorAndInline) {
+  const std::string ping = "{\"type\":\"ping\",\"id\":8}";
+  const std::string stats_request = "{\"type\":\"stats\",\"id\":9}";
+  const std::string malformed = "definitely not a request";
+
+  // Idle: an executor is free for each probe, so it admits the payload
+  // unparsed and the executor answers it.
+  ServerOptions idle_options;
+  idle_options.threads = 2;
+  Server idle{idle_options};
+
+  // Saturated, pinned as the reject test does: a width-1 executor runs a
+  // client's 192-query batch, so each probe is parsed and answered on the
+  // submitting thread.
+  ServerOptions pinned_options;
+  pinned_options.threads = 1;
+  pinned_options.queue_capacity = 2;
+  Server pinned{pinned_options};
+  std::vector<std::string> big;
+  for (std::uint64_t seed = 1; seed <= 192; ++seed) big.push_back(query_json(seed));
+  std::thread client([&] { (void)pinned.handle(batch_json(1, big)); });
+  while (pinned.stats().queries < big.size()) std::this_thread::yield();
+
+  std::vector<std::string> malformed_replies;
+  for (Server* server : {&idle, &pinned}) {
+    const obs::ServeStats before = server->stats();
+    EXPECT_EQ(server->submit(ping).get(), "{\"type\":\"pong\",\"id\":8}");
+    const std::string reply = server->submit(stats_request).get();
+    EXPECT_EQ(reply.rfind("{\"type\":\"stats\",\"id\":9,\"stats\":{", 0), 0u) << reply;
+    EXPECT_NE(reply.find("\"plan_cache\""), std::string::npos) << reply;
+    // The reply is a snapshot taken when it is answered: it counts the ping
+    // and itself as received, admitted and completed.
+    EXPECT_EQ(reply_count(reply, "received"), before.received + 2) << reply;
+    EXPECT_EQ(reply_count(reply, "admitted"), before.admitted + 2) << reply;
+    EXPECT_GE(reply_count(reply, "completed"), before.completed + 2) << reply;
+    malformed_replies.push_back(server->submit(malformed).get());
+  }
+  EXPECT_EQ(malformed_replies[0].rfind("{\"type\":\"error\",\"id\":-1,", 0), 0u)
+      << malformed_replies[0];
+  EXPECT_EQ(malformed_replies[0], malformed_replies[1]);
+  client.join();
+  pinned.wait_idle();
+
+  // The same ledger buckets on both paths, once the pin's own batch (one
+  // request, 192 queries) is set aside.
+  const obs::ServeStats a = idle.stats();
+  const obs::ServeStats b = pinned.stats();
+  EXPECT_EQ(a.received, 3u);
+  EXPECT_EQ(a.admitted, 3u);
+  EXPECT_EQ(a.completed, 3u);
+  EXPECT_EQ(a.protocol_errors, 1u);
+  EXPECT_EQ(b.received - 1, a.received);
+  EXPECT_EQ(b.admitted - 1, a.admitted);
+  EXPECT_EQ(b.completed - 1, a.completed);
+  EXPECT_EQ(b.protocol_errors, a.protocol_errors);
+  EXPECT_EQ(b.rejected + b.shed, a.rejected + a.shed);
+  EXPECT_EQ(b.queries - big.size(), a.queries);
+  EXPECT_TRUE(check::audit_serve_stats(a, /*drained=*/true).ok());
+  EXPECT_TRUE(check::audit_serve_stats(b, /*drained=*/true).ok());
 }
 
 TEST(ServeServer, RejectNewAdmissionFillsQueueThenRejects) {
@@ -510,11 +698,30 @@ TEST(ServeServer, StreamSessionAnswersInRequestOrder) {
 TEST(ServeServer, PipelinedStreamIsNeverRejectedOrShed) {
   // 500 one-query cold frames in one pipelined session against an admission
   // capacity of 2 executors + 4 queue slots: the stream stops reading while
-  // admission is full instead of turning requests away.
+  // admission is full instead of turning requests away. Ping, stats and
+  // malformed frames are interleaved; each is answered in its place.
   constexpr std::size_t kFrames = 500;
   std::stringstream frames;
+  std::vector<std::string> expected_prefix;  // Of each response, in order.
+  std::size_t malformed = 0;
   for (std::size_t i = 0; i < kFrames; ++i) {
-    write_frame(frames, batch_json(static_cast<std::int64_t>(i), {query_json(i, "umr")}));
+    const auto id = static_cast<std::int64_t>(i);
+    write_frame(frames, batch_json(id, {query_json(i, "umr")}));
+    expected_prefix.push_back("{\"type\":\"result\",\"id\":" + std::to_string(id) + ",");
+    const std::string control_id = std::to_string(100000 + i);
+    if (i % 7 == 3) {
+      write_frame(frames, "{\"type\":\"ping\",\"id\":" + control_id + "}");
+      expected_prefix.push_back("{\"type\":\"pong\",\"id\":" + control_id + "}");
+    }
+    if (i % 11 == 5) {
+      write_frame(frames, "{\"type\":\"stats\",\"id\":" + control_id + "}");
+      expected_prefix.push_back("{\"type\":\"stats\",\"id\":" + control_id + ",");
+    }
+    if (i % 13 == 7) {
+      write_frame(frames, "{\"type\":\"batch\",\"id\":" + control_id);
+      expected_prefix.push_back("{\"type\":\"error\",\"id\":-1,");
+      ++malformed;
+    }
   }
   for (const jobs::AdmissionPolicy admission :
        {jobs::AdmissionPolicy::kRejectNew, jobs::AdmissionPolicy::kShedOldest}) {
@@ -528,16 +735,20 @@ TEST(ServeServer, PipelinedStreamIsNeverRejectedOrShed) {
     server.serve_stream(in, out);
     server.wait_idle();
 
-    std::size_t results = 0;
+    std::size_t responses = 0;
     while (auto frame = read_frame(out)) {
-      if (frame->find("\"type\":\"result\"") != std::string::npos) ++results;
+      ASSERT_LT(responses, expected_prefix.size());
+      EXPECT_EQ(frame->rfind(expected_prefix[responses], 0), 0u)
+          << jobs::to_string(admission) << " response " << responses << ": " << *frame;
+      ++responses;
     }
-    EXPECT_EQ(results, kFrames) << jobs::to_string(admission);
+    EXPECT_EQ(responses, expected_prefix.size()) << jobs::to_string(admission);
     const obs::ServeStats stats = server.stats();
-    EXPECT_EQ(stats.received, kFrames);
+    EXPECT_EQ(stats.received, expected_prefix.size());
     EXPECT_EQ(stats.rejected, 0u);
     EXPECT_EQ(stats.shed, 0u);
-    EXPECT_EQ(stats.plan_cache.misses, kFrames);  // Every frame was a cold solve.
+    EXPECT_EQ(stats.protocol_errors, malformed);
+    EXPECT_EQ(stats.plan_cache.misses, kFrames);  // Every batch was a cold solve.
     EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
   }
 }
