@@ -1,6 +1,7 @@
 #include "serve/plan_cache.hpp"
 
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "serve/protocol.hpp"
@@ -42,7 +43,8 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
   enum class Path : unsigned char { kHit, kCollision, kSolve };
   Path path = Path::kSolve;
   std::shared_future<PlanPtr> waiting;
-  std::promise<PlanPtr> promise;
+  // Built on a miss only: a promise allocates its shared state.
+  std::optional<std::promise<PlanPtr>> promise;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stats.lookups += 1;
@@ -53,9 +55,11 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
       shard.stats.hits += 1;
       Entry& entry = it->second;
       if (entry.ready) {
-        shard.lru.erase(entry.tick);
+        // Restamp by moving the LRU node itself: no free and no allocation.
+        auto stamp = shard.lru.extract(entry.tick);
         entry.tick = shard.next_tick++;
-        shard.lru.emplace(entry.tick, fingerprint);
+        stamp.key() = entry.tick;
+        shard.lru.insert(std::move(stamp));
       }
       waiting = entry.plan;
       path = Path::kHit;
@@ -71,7 +75,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
       shard.stats.misses += 1;
       Entry entry;
       entry.key = key;
-      entry.plan = promise.get_future().share();
+      entry.plan = promise.emplace().get_future().share();
       shard.entries.emplace(fingerprint, std::move(entry));
     }
   }
@@ -85,7 +89,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
   try {
     plan = std::make_shared<const std::string>(solve());
   } catch (...) {
-    promise.set_exception(std::current_exception());
+    promise->set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stats.failed_solves += 1;
     // The pending entry was pinned, so it is still ours to remove; a later
@@ -93,7 +97,7 @@ std::shared_ptr<const std::string> PlanCache::get_or_compute(const std::string& 
     shard.entries.erase(fingerprint);
     throw;
   }
-  promise.set_value(plan);
+  promise->set_value(plan);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     Entry& entry = shard.entries.at(fingerprint);

@@ -10,12 +10,14 @@
 namespace rumr::serve {
 namespace {
 
+using util::JsonDocument;
 using util::JsonError;
-using util::JsonValue;
+using util::JsonView;
 
-/// Largest worker count a query may describe. A homogeneous shorthand
-/// expands at parse time, so without a cap a 16-byte request could demand a
-/// multi-gigabyte worker list.
+/// Largest worker count a query may describe, and a batch's queries in
+/// total. A homogeneous shorthand expands at parse time, so without the
+/// per-query cap a 16-byte request could demand a multi-gigabyte worker
+/// list, and without the batch cap a frame of such queries could.
 constexpr std::size_t kMaxWorkers = 100000;
 
 /// Largest integer a double carries exactly; integer fields beyond it would
@@ -53,13 +55,21 @@ std::uint32_t decode_header(const unsigned char* h) {
 }
 
 // --- Request-schema helpers ------------------------------------------------
+//
+// The readers walk the request's JsonDocument through JsonView handles: no
+// tree is built, and every string a Query keeps is copied out of the view.
 
-double number_field(const JsonValue& v, const char* field) {
-  if (v.kind() != JsonValue::Kind::kNumber) bad_request(std::string(field) + " must be a number");
+/// Thrown when a batch's queries would expand to more than kMaxWorkers
+/// workers in total. It is not a ProtocolError, so it passes the per-query
+/// catch and rejects the whole request.
+struct BatchWorkerLimit {};
+
+double number_field(JsonView v, const char* field) {
+  if (v.kind() != JsonView::Kind::kNumber) bad_request(std::string(field) + " must be a number");
   return v.as_number();
 }
 
-std::uint64_t integer_field(const JsonValue& v, const char* field, double max = kMaxExactDouble) {
+std::uint64_t integer_field(JsonView v, const char* field, double max = kMaxExactDouble) {
   const double d = number_field(v, field);
   if (!(d >= 0.0) || d != std::floor(d) || d > max) {
     bad_request(std::string(field) + " must be a non-negative integer <= " +
@@ -68,44 +78,50 @@ std::uint64_t integer_field(const JsonValue& v, const char* field, double max = 
   return static_cast<std::uint64_t>(d);
 }
 
-double nonnegative_field(const JsonValue& v, const char* field) {
+double nonnegative_field(JsonView v, const char* field) {
   const double d = number_field(v, field);
   if (!(d >= 0.0)) bad_request(std::string(field) + " must be >= 0");
   return d;
 }
 
-double positive_field(const JsonValue& v, const char* field) {
+double positive_field(JsonView v, const char* field) {
   const double d = number_field(v, field);
   if (!(d > 0.0)) bad_request(std::string(field) + " must be > 0");
   return d;
 }
 
-void reject_unknown_keys(const JsonValue& obj, std::initializer_list<const char*> allowed,
+void reject_unknown_keys(JsonView obj, std::initializer_list<std::string_view> allowed,
                          const char* where) {
-  for (const auto& [key, value] : obj.as_object()) {
+  for (const auto& [key, value] : obj.members()) {
     (void)value;
     bool known = false;
-    for (const char* a : allowed) {
+    for (const std::string_view a : allowed) {
       if (key == a) { known = true; break; }
     }
-    if (!known) bad_request(std::string(where) + ": unknown key \"" + key + "\"");
+    if (!known) bad_request(std::string(where) + ": unknown key \"" + std::string(key) + "\"");
   }
 }
 
-platform::WorkerSpec parse_worker_spec(const JsonValue& v, const char* where) {
+/// Charges `count` workers to the batch's budget.
+void spend_workers(std::size_t count, std::size_t& workers_left) {
+  if (count > workers_left) throw BatchWorkerLimit{};
+  workers_left -= count;
+}
+
+platform::WorkerSpec parse_worker_spec(JsonView v, const char* where) {
   if (!v.is_object()) bad_request(std::string(where) + " must be an object");
   reject_unknown_keys(
       v, {"speed", "bandwidth", "comp_latency", "comm_latency", "transfer_latency"}, where);
   platform::WorkerSpec spec;
-  if (const JsonValue* f = v.find("speed")) spec.speed = positive_field(*f, "speed");
-  if (const JsonValue* f = v.find("bandwidth")) spec.bandwidth = positive_field(*f, "bandwidth");
-  if (const JsonValue* f = v.find("comp_latency")) {
+  if (const auto f = v.find("speed")) spec.speed = positive_field(*f, "speed");
+  if (const auto f = v.find("bandwidth")) spec.bandwidth = positive_field(*f, "bandwidth");
+  if (const auto f = v.find("comp_latency")) {
     spec.comp_latency = nonnegative_field(*f, "comp_latency");
   }
-  if (const JsonValue* f = v.find("comm_latency")) {
+  if (const auto f = v.find("comm_latency")) {
     spec.comm_latency = nonnegative_field(*f, "comm_latency");
   }
-  if (const JsonValue* f = v.find("transfer_latency")) {
+  if (const auto f = v.find("transfer_latency")) {
     spec.transfer_latency = nonnegative_field(*f, "transfer_latency");
   }
   return spec;
@@ -113,11 +129,15 @@ platform::WorkerSpec parse_worker_spec(const JsonValue& v, const char* where) {
 
 /// Expands the platform description to the explicit worker list — the
 /// canonicalization step that makes {"homogeneous": {"workers": 2}} and the
-/// equivalent two-element "workers" array share one cache line.
-std::vector<platform::WorkerSpec> parse_platform(const JsonValue* v) {
-  if (v == nullptr) {
+/// equivalent two-element "workers" array share one cache line. A query's
+/// workers are charged to the batch's budget as soon as their count is
+/// known to be within the per-query limit, before any list is built.
+std::vector<platform::WorkerSpec> parse_platform(std::optional<JsonView> v,
+                                                 std::size_t& workers_left) {
+  if (!v) {
     // Library default: the paper's Table-1 homogeneous 10-worker platform.
     const platform::HomogeneousParams defaults;
+    spend_workers(defaults.workers, workers_left);
     return std::vector<platform::WorkerSpec>(
         defaults.workers,
         platform::WorkerSpec{defaults.speed, defaults.bandwidth, defaults.comp_latency,
@@ -125,59 +145,61 @@ std::vector<platform::WorkerSpec> parse_platform(const JsonValue* v) {
   }
   if (!v->is_object()) bad_request("platform must be an object");
   reject_unknown_keys(*v, {"homogeneous", "workers"}, "platform");
-  const JsonValue* homogeneous = v->find("homogeneous");
-  const JsonValue* workers = v->find("workers");
-  if ((homogeneous != nullptr) == (workers != nullptr)) {
+  const std::optional<JsonView> homogeneous = v->find("homogeneous");
+  const std::optional<JsonView> workers = v->find("workers");
+  if (homogeneous.has_value() == workers.has_value()) {
     bad_request("platform requires exactly one of \"homogeneous\" or \"workers\"");
   }
-  if (homogeneous != nullptr) {
+  if (homogeneous) {
     if (!homogeneous->is_object()) bad_request("platform.homogeneous must be an object");
     reject_unknown_keys(*homogeneous,
                         {"workers", "speed", "bandwidth", "comp_latency", "comm_latency",
                          "transfer_latency"},
                         "platform.homogeneous");
     platform::HomogeneousParams params;
-    if (const JsonValue* f = homogeneous->find("workers")) {
+    if (const auto f = homogeneous->find("workers")) {
       params.workers = static_cast<std::size_t>(
           integer_field(*f, "platform.homogeneous.workers", static_cast<double>(kMaxWorkers)));
       if (params.workers == 0) bad_request("platform.homogeneous.workers must be >= 1");
     }
+    spend_workers(params.workers, workers_left);
     platform::WorkerSpec spec{params.speed, params.bandwidth, params.comp_latency,
                               params.comm_latency, params.transfer_latency};
-    if (const JsonValue* f = homogeneous->find("speed")) spec.speed = positive_field(*f, "speed");
-    if (const JsonValue* f = homogeneous->find("bandwidth")) {
+    if (const auto f = homogeneous->find("speed")) spec.speed = positive_field(*f, "speed");
+    if (const auto f = homogeneous->find("bandwidth")) {
       spec.bandwidth = positive_field(*f, "bandwidth");
     }
-    if (const JsonValue* f = homogeneous->find("comp_latency")) {
+    if (const auto f = homogeneous->find("comp_latency")) {
       spec.comp_latency = nonnegative_field(*f, "comp_latency");
     }
-    if (const JsonValue* f = homogeneous->find("comm_latency")) {
+    if (const auto f = homogeneous->find("comm_latency")) {
       spec.comm_latency = nonnegative_field(*f, "comm_latency");
     }
-    if (const JsonValue* f = homogeneous->find("transfer_latency")) {
+    if (const auto f = homogeneous->find("transfer_latency")) {
       spec.transfer_latency = nonnegative_field(*f, "transfer_latency");
     }
     return std::vector<platform::WorkerSpec>(params.workers, spec);
   }
   if (!workers->is_array()) bad_request("platform.workers must be an array");
-  const auto& list = workers->as_array();
+  const auto list = workers->elements();
   if (list.empty()) bad_request("platform.workers must not be empty");
   if (list.size() > kMaxWorkers) {
     bad_request("platform.workers exceeds the " + std::to_string(kMaxWorkers) + "-worker limit");
   }
+  spend_workers(list.size(), workers_left);
   std::vector<platform::WorkerSpec> specs;
   specs.reserve(list.size());
-  for (const JsonValue& entry : list) {
+  for (const JsonView entry : list) {
     specs.push_back(parse_worker_spec(entry, "platform.workers entry"));
   }
   return specs;
 }
 
-std::uint64_t parse_seed(const JsonValue& v) {
-  if (v.kind() == JsonValue::Kind::kString) {
+std::uint64_t parse_seed(JsonView v) {
+  if (v.kind() == JsonView::Kind::kString) {
     // Decimal-string form: carries the full uint64 range (a JSON number
     // loses exactness past 2^53).
-    const std::string& text = v.as_string();
+    const std::string_view text = v.as_string();
     if (text.empty()) bad_request("seed string must not be empty");
     std::uint64_t seed = 0;
     const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), seed);
@@ -189,40 +211,51 @@ std::uint64_t parse_seed(const JsonValue& v) {
   return integer_field(v, "seed");
 }
 
-Query parse_query(const JsonValue& v) {
+Query parse_query(JsonView v, std::size_t& workers_left) {
   if (!v.is_object()) bad_request("query must be an object");
   reject_unknown_keys(v,
                       {"platform", "workload", "algorithm", "known_error", "error", "seed",
                        "uplink_channels", "output_ratio", "worker_buffer_capacity"},
                       "query");
   Query query;
-  query.workers = parse_platform(v.find("platform"));
-  const JsonValue* workload = v.find("workload");
-  if (workload == nullptr) bad_request("query requires \"workload\"");
+  query.workers = parse_platform(v.find("platform"), workers_left);
+  const std::optional<JsonView> workload = v.find("workload");
+  if (!workload) bad_request("query requires \"workload\"");
   query.workload = positive_field(*workload, "workload");
-  if (const JsonValue* f = v.find("algorithm")) {
-    if (f->kind() != JsonValue::Kind::kString) bad_request("algorithm must be a string");
+  if (const auto f = v.find("algorithm")) {
+    if (f->kind() != JsonView::Kind::kString) bad_request("algorithm must be a string");
     query.algorithm = f->as_string();
     if (query.algorithm.empty()) bad_request("algorithm must not be empty");
   }
-  if (const JsonValue* f = v.find("known_error")) {
+  if (const auto f = v.find("known_error")) {
     query.known_error = nonnegative_field(*f, "known_error");
   }
-  if (const JsonValue* f = v.find("error")) query.error = nonnegative_field(*f, "error");
-  if (const JsonValue* f = v.find("seed")) query.seed = parse_seed(*f);
-  if (const JsonValue* f = v.find("uplink_channels")) {
+  if (const auto f = v.find("error")) query.error = nonnegative_field(*f, "error");
+  if (const auto f = v.find("seed")) query.seed = parse_seed(*f);
+  if (const auto f = v.find("uplink_channels")) {
     query.uplink_channels = static_cast<std::size_t>(integer_field(*f, "uplink_channels"));
     if (query.uplink_channels == 0) bad_request("uplink_channels must be >= 1");
   }
-  if (const JsonValue* f = v.find("output_ratio")) {
+  if (const auto f = v.find("output_ratio")) {
     query.output_ratio = nonnegative_field(*f, "output_ratio");
   }
-  if (const JsonValue* f = v.find("worker_buffer_capacity")) {
+  if (const auto f = v.find("worker_buffer_capacity")) {
     query.worker_buffer_capacity =
         static_cast<std::size_t>(integer_field(*f, "worker_buffer_capacity"));
     if (query.worker_buffer_capacity == 0) bad_request("worker_buffer_capacity must be >= 1");
   }
   return query;
+}
+
+/// The payload's JSON document; a syntax error is a bad request.
+JsonDocument parse_payload(const std::string& payload) {
+  try {
+    util::ParseLimits limits;
+    limits.max_bytes = kMaxPayloadBytes;
+    return JsonDocument::parse(payload, limits);
+  } catch (const JsonError& e) {
+    bad_request(e.what());
+  }
 }
 
 /// Appends an integer in plain decimal (integers in canonical keys and
@@ -329,20 +362,14 @@ std::optional<std::string> FrameDecoder::next() {
 // --- Requests --------------------------------------------------------------
 
 Request parse_request(const std::string& payload) {
-  JsonValue doc = JsonValue::null();
-  try {
-    util::ParseLimits limits;
-    limits.max_bytes = kMaxPayloadBytes;
-    doc = JsonValue::parse(payload, limits);
-  } catch (const JsonError& e) {
-    bad_request(e.what());
-  }
+  const JsonDocument json = parse_payload(payload);
+  const JsonView doc = json.root();
   Request request;
   try {
     if (!doc.is_object()) bad_request("request must be a JSON object");
     reject_unknown_keys(doc, {"type", "id", "priority", "queries"}, "request");
-    const JsonValue* type = doc.find("type");
-    if (type == nullptr || type->kind() != JsonValue::Kind::kString) {
+    const std::optional<JsonView> type = doc.find("type");
+    if (!type || type->kind() != JsonView::Kind::kString) {
       bad_request("request requires a string \"type\"");
     }
     if (type->as_string() == "batch") {
@@ -352,32 +379,34 @@ Request parse_request(const std::string& payload) {
     } else if (type->as_string() == "stats") {
       request.type = RequestType::kStats;
     } else {
-      bad_request("unknown request type \"" + type->as_string() + "\"");
+      bad_request("unknown request type \"" + std::string(type->as_string()) + "\"");
     }
-    const JsonValue* id = doc.find("id");
-    if (id == nullptr) bad_request("request requires \"id\"");
+    const std::optional<JsonView> id = doc.find("id");
+    if (!id) bad_request("request requires \"id\"");
     request.id = static_cast<std::int64_t>(integer_field(*id, "id"));
-    if (const JsonValue* priority = doc.find("priority")) {
+    if (const auto priority = doc.find("priority")) {
       const double d = number_field(*priority, "priority");
       if (d != std::floor(d) || d < -kMaxExactDouble || d > kMaxExactDouble) {
         bad_request("priority must be an integer");
       }
       request.priority = static_cast<std::int64_t>(d);
     }
-    const JsonValue* queries = doc.find("queries");
+    const std::optional<JsonView> queries = doc.find("queries");
     if (request.type != RequestType::kBatch) {
-      if (queries != nullptr) bad_request("only batch requests carry \"queries\"");
+      if (queries) bad_request("only batch requests carry \"queries\"");
       return request;
     }
-    if (queries == nullptr || !queries->is_array()) {
+    if (!queries || !queries->is_array()) {
       bad_request("batch request requires a \"queries\" array");
     }
-    if (queries->as_array().empty()) bad_request("batch request with an empty \"queries\" array");
-    request.queries.reserve(queries->as_array().size());
-    for (const JsonValue& entry : queries->as_array()) {
+    const auto entries = queries->elements();
+    if (entries.empty()) bad_request("batch request with an empty \"queries\" array");
+    request.queries.reserve(entries.size());
+    std::size_t workers_left = kMaxWorkers;
+    for (const JsonView entry : entries) {
       QuerySlot slot;
       try {
-        slot.query = parse_query(entry);
+        slot.query = parse_query(entry, workers_left);
       } catch (const ProtocolError& e) {
         slot.error = e.what();
       } catch (const JsonError& e) {
@@ -387,6 +416,9 @@ Request parse_request(const std::string& payload) {
     }
   } catch (const JsonError& e) {
     bad_request(e.what());
+  } catch (const BatchWorkerLimit&) {
+    bad_request("batch request describes more than " + std::to_string(kMaxWorkers) +
+                " workers in total");
   }
   return request;
 }
@@ -474,9 +506,19 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
 // --- Responses -------------------------------------------------------------
 
 std::string make_result_response(std::int64_t id, const std::vector<std::string>& results) {
-  std::string payload = "{\"type\":\"result\",\"id\":";
-  payload += std::to_string(id);
-  payload += ",\"results\":[";
+  constexpr std::string_view kHead = "{\"type\":\"result\",\"id\":";
+  constexpr std::string_view kResults = ",\"results\":[";
+  const std::string id_text = std::to_string(id);
+  // Sized exactly up front (plans, the commas between them, "]}"): a warm
+  // response is tens of kilobytes, and growing it would copy it repeatedly.
+  std::size_t size = kHead.size() + id_text.size() + kResults.size() +
+                     (results.empty() ? 0 : results.size() - 1) + 2;
+  for (const std::string& result : results) size += result.size();
+  std::string payload;
+  payload.reserve(size);
+  payload += kHead;
+  payload += id_text;
+  payload += kResults;
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i > 0) payload += ',';
     payload += results[i];  // pre-serialized: cached plan bytes pass through verbatim

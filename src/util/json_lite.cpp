@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace rumr::util {
 
@@ -14,7 +15,7 @@ namespace {
 }
 
 /// Encodes one Unicode scalar value as UTF-8.
-void append_utf8(std::string& out, std::uint32_t cp) {
+void append_utf8(std::vector<char>& out, std::uint32_t cp) {
   if (cp < 0x80) {
     out.push_back(static_cast<char>(cp));
   } else if (cp < 0x800) {
@@ -150,26 +151,29 @@ void append_json_number(std::string& out, double value) {
   out.append(buf, ptr);
 }
 
-/// Recursive-descent parser over the input view. Depth is bounded to keep a
-/// hostile (or corrupted) document from overflowing the stack.
-class JsonParser {
+/// The one tokenizer: recursive descent over the input view, appending each
+/// value to a JsonDocument's tape in document order. Depth is bounded to keep
+/// a hostile (or corrupted) document from overflowing the stack.
+class JsonTokenizer {
  public:
-  JsonParser(std::string_view text, const ParseLimits& limits)
-      : text_(text), limits_(limits) {}
+  JsonTokenizer(std::string_view text, const ParseLimits& limits, JsonDocument& doc)
+      : text_(text), limits_(limits), nodes_(doc.nodes_), decoded_(doc.decoded_) {}
 
-  JsonValue run() {
-    if (text_.size() > limits_.max_bytes) {
+  void run() {
+    // A node spans at least one input byte, so 32-bit tape offsets hold
+    // every document below 4 GiB.
+    const std::size_t max_bytes =
+        std::min<std::size_t>(limits_.max_bytes, std::numeric_limits<std::uint32_t>::max());
+    if (text_.size() > max_bytes) {
       throw JsonError(JsonError::Kind::kOversized,
                       "document of " + std::to_string(text_.size()) +
-                          " bytes exceeds the " + std::to_string(limits_.max_bytes) +
-                          "-byte limit");
+                          " bytes exceeds the " + std::to_string(max_bytes) + "-byte limit");
     }
-    JsonValue v = value(0);
+    value(0);
     skip_ws();
     if (pos_ != text_.size()) {
       fail(JsonError::Kind::kTrailing, pos_, "trailing garbage after document");
     }
-    return v;
   }
 
  private:
@@ -199,75 +203,94 @@ class JsonParser {
     return true;
   }
 
-  JsonValue value(int depth) {
+  /// Appends one node and returns its index: a container's node is filled
+  /// in after its children, and appending may move the array, so callers
+  /// hold indices, never references.
+  std::size_t push(JsonValue::Kind kind) {
+    nodes_.emplace_back().kind = kind;
+    return nodes_.size() - 1;
+  }
+
+  /// Ends the container pushed at `at`: its subtree is every node since.
+  void close(std::size_t at, std::uint32_t count) {
+    nodes_[at].extent = static_cast<std::uint32_t>(nodes_.size() - at);
+    nodes_[at].count = count;
+  }
+
+  void value(int depth) {
     if (depth > limits_.max_depth) fail(JsonError::Kind::kTooDeep, pos_, "nesting too deep");
     skip_ws();
-    JsonValue v;
     switch (peek()) {
       case '{': {
-        v.kind_ = JsonValue::Kind::kObject;
+        const std::size_t at = push(JsonValue::Kind::kObject);
         ++pos_;
         skip_ws();
+        std::uint32_t count = 0;
         if (peek() == '}') {
           ++pos_;
-          return v;
+          close(at, count);
+          return;
         }
         for (;;) {
           skip_ws();
-          std::string key = string_body();
+          string();  // The member's key.
           skip_ws();
           expect(':');
-          v.object_.emplace_back(std::move(key), value(depth + 1));
+          value(depth + 1);
+          ++count;
           skip_ws();
           if (peek() == ',') {
             ++pos_;
             continue;
           }
           expect('}');
-          return v;
+          close(at, count);
+          return;
         }
       }
       case '[': {
-        v.kind_ = JsonValue::Kind::kArray;
+        const std::size_t at = push(JsonValue::Kind::kArray);
         ++pos_;
         skip_ws();
+        std::uint32_t count = 0;
         if (peek() == ']') {
           ++pos_;
-          return v;
+          close(at, count);
+          return;
         }
         for (;;) {
-          v.array_.push_back(value(depth + 1));
+          value(depth + 1);
+          ++count;
           skip_ws();
           if (peek() == ',') {
             ++pos_;
             continue;
           }
           expect(']');
-          return v;
+          close(at, count);
+          return;
         }
       }
       case '"':
-        v.kind_ = JsonValue::Kind::kString;
-        v.string_ = string_body();
-        return v;
+        string();
+        return;
       case 't':
         if (!consume_literal("true")) fail(JsonError::Kind::kMalformed, pos_, "bad literal");
-        v.kind_ = JsonValue::Kind::kBool;
-        v.bool_ = true;
-        return v;
+        nodes_[push(JsonValue::Kind::kBool)].boolean = true;
+        return;
       case 'f':
         if (!consume_literal("false")) fail(JsonError::Kind::kMalformed, pos_, "bad literal");
-        v.kind_ = JsonValue::Kind::kBool;
-        v.bool_ = false;
-        return v;
+        push(JsonValue::Kind::kBool);
+        return;
       case 'n':
         if (!consume_literal("null")) fail(JsonError::Kind::kMalformed, pos_, "bad literal");
-        v.kind_ = JsonValue::Kind::kNull;
-        return v;
-      default:
-        v.kind_ = JsonValue::Kind::kNumber;
-        v.number_ = number_body();
-        return v;
+        push(JsonValue::Kind::kNull);
+        return;
+      default: {
+        const double number = number_body();
+        nodes_[push(JsonValue::Kind::kNumber)].number = number;
+        return;
+      }
     }
   }
 
@@ -293,17 +316,41 @@ class JsonParser {
     return unit;
   }
 
-  std::string string_body() {
+  /// Appends a kString node over `length` bytes at `text`.
+  void push_string(const char* text, std::size_t length) {
+    detail::JsonNode& node = nodes_[push(JsonValue::Kind::kString)];
+    node.text = text;
+    node.length = static_cast<std::uint32_t>(length);
+  }
+
+  /// Reads one string literal onto the tape. A literal without escapes is a
+  /// view of the input. One with escapes decodes into the document's
+  /// buffer, reserved to the input's size on first use: a literal never
+  /// decodes to more bytes than it spans, so the buffer never reallocates
+  /// and every view into it stays valid.
+  void string() {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+    if (pos_ >= text_.size()) {
+      fail(JsonError::Kind::kTruncated, pos_, "unterminated string");
+    }
+    if (text_[pos_] == '"') {
+      push_string(text_.data() + start, pos_ - start);
+      ++pos_;
+      return;
+    }
+    if (decoded_.capacity() == 0) decoded_.reserve(text_.size());
+    const std::size_t from = decoded_.size();
+    decoded_.insert(decoded_.end(), text_.data() + start, text_.data() + pos_);
     for (;;) {
       if (pos_ >= text_.size()) {
         fail(JsonError::Kind::kTruncated, pos_, "unterminated string");
       }
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') break;
       if (c != '\\') {
-        out.push_back(c);
+        decoded_.push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) {
@@ -311,14 +358,14 @@ class JsonParser {
       }
       const char e = text_[pos_++];
       switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
+        case '"': decoded_.push_back('"'); break;
+        case '\\': decoded_.push_back('\\'); break;
+        case '/': decoded_.push_back('/'); break;
+        case 'n': decoded_.push_back('\n'); break;
+        case 't': decoded_.push_back('\t'); break;
+        case 'r': decoded_.push_back('\r'); break;
+        case 'b': decoded_.push_back('\b'); break;
+        case 'f': decoded_.push_back('\f'); break;
         case 'u': {
           const std::size_t unit_at = pos_ - 2;
           std::uint32_t cp = hex4();
@@ -337,12 +384,13 @@ class JsonParser {
             }
             cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
           }
-          append_utf8(out, cp);
+          append_utf8(decoded_, cp);
           break;
         }
         default: fail(JsonError::Kind::kMalformed, pos_ - 1, "unsupported escape");
       }
     }
+    push_string(decoded_.data() + from, decoded_.size() - from);
   }
 
   double number_body() {
@@ -367,11 +415,79 @@ class JsonParser {
 
   std::string_view text_;
   ParseLimits limits_;
+  std::vector<detail::JsonNode>& nodes_;
+  std::vector<char>& decoded_;
   std::size_t pos_ = 0;
 };
 
+JsonDocument JsonDocument::parse(std::string_view text, const ParseLimits& limits) {
+  JsonDocument doc;
+  // The wire's batches spend about eight bytes a node, so this is their one
+  // allocation; denser documents regrow the array.
+  doc.nodes_.reserve(text.size() / 6 + 1);
+  JsonTokenizer(text, limits, doc).run();
+  return doc;
+}
+
+double JsonView::as_number() const {
+  if (node_->kind != Kind::kNumber) {
+    throw JsonError(JsonError::Kind::kType, "value is not a number");
+  }
+  return node_->number;
+}
+
+bool JsonView::as_bool() const {
+  if (node_->kind != Kind::kBool) throw JsonError(JsonError::Kind::kType, "value is not a bool");
+  return node_->boolean;
+}
+
+std::string_view JsonView::as_string() const {
+  if (node_->kind != Kind::kString) {
+    throw JsonError(JsonError::Kind::kType, "value is not a string");
+  }
+  return as_key();
+}
+
+JsonView::Children<JsonView> JsonView::elements() const {
+  if (node_->kind != Kind::kArray) throw JsonError(JsonError::Kind::kType, "value is not an array");
+  return Children<JsonView>(node_);
+}
+
+JsonView::Children<JsonView::Member> JsonView::members() const {
+  if (node_->kind != Kind::kObject) {
+    throw JsonError(JsonError::Kind::kType, "value is not an object");
+  }
+  return Children<Member>(node_);
+}
+
+namespace {
+
+/// The tree of one tape value; recursion is as deep as the parser allowed.
+JsonValue tree_of(JsonView view) {
+  switch (view.kind()) {
+    case JsonValue::Kind::kNull: return JsonValue::null();
+    case JsonValue::Kind::kBool: return JsonValue::boolean(view.as_bool());
+    case JsonValue::Kind::kNumber: return JsonValue::number(view.as_number());
+    case JsonValue::Kind::kString: return JsonValue::string(std::string(view.as_string()));
+    case JsonValue::Kind::kArray: {
+      JsonValue out = JsonValue::array();
+      for (const JsonView element : view.elements()) out.push_back(tree_of(element));
+      return out;
+    }
+    case JsonValue::Kind::kObject: {
+      JsonValue out = JsonValue::object();
+      for (const auto& [key, value] : view.members()) out.set(std::string(key), tree_of(value));
+      return out;
+    }
+  }
+  return JsonValue::null();
+}
+
+}  // namespace
+
 JsonValue JsonValue::parse(std::string_view text, const ParseLimits& limits) {
-  return JsonParser(text, limits).run();
+  const JsonDocument doc = JsonDocument::parse(text, limits);
+  return tree_of(doc.root());
 }
 
 JsonValue JsonValue::null() { return JsonValue{}; }

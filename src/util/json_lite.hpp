@@ -8,8 +8,13 @@
 ///
 /// This is deliberately not a general-purpose JSON library: it parses the
 /// subset the repo's writers emit (objects, arrays, strings, finite numbers,
-/// booleans, null) into a plain value tree and has no dependencies beyond
-/// the standard library. Since the serve daemon started putting parsed
+/// booleans, null) and has no dependencies beyond the standard library.
+/// One tokenizer reads the bytes into a JsonDocument: a flat node array
+/// ("tape") whose strings are views of the input, read through JsonView
+/// handles without building anything (the serve wire path). JsonValue::parse
+/// builds its plain value tree from that document (fixtures, reports), so
+/// both consumers share one grammar, one set of limits, and the same error
+/// kinds and byte offsets. Since the serve daemon started putting parsed
 /// documents on a network-shaped boundary, the reader is hardened for wire
 /// use: every rejection throws a JsonError carrying a machine-readable
 /// Kind (a truncated document is distinguishable from an oversized one or
@@ -31,10 +36,13 @@
 /// (number_or_null).
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -136,8 +144,134 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
+};
 
-  friend class JsonParser;
+namespace detail {
+
+/// One value on a JsonDocument's tape. A container's children follow it in
+/// document order; an object's alternate a key (a kString node) and the
+/// value's subtree.
+struct JsonNode {
+  double number = 0.0;           ///< kNumber.
+  const char* text = nullptr;    ///< kString: bytes in the input or the decode buffer.
+  std::uint32_t length = 0;      ///< kString: byte count.
+  std::uint32_t extent = 1;      ///< Nodes in this subtree, itself included.
+  std::uint32_t count = 0;       ///< kArray: elements; kObject: members.
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  bool boolean = false;          ///< kBool.
+};
+
+}  // namespace detail
+
+/// A read-only handle on one value of a JsonDocument: a single pointer, free
+/// to copy, valid while the document and the document's input live.
+class JsonView {
+ public:
+  using Kind = JsonValue::Kind;
+  using Member = std::pair<std::string_view, JsonView>;
+
+  /// A container's children in document order: an array's elements as
+  /// JsonView, an object's members as (key, value) pairs.
+  template <typename Item>
+  class Children {
+   public:
+    class iterator {
+     public:
+      [[nodiscard]] Item operator*() const noexcept {
+        if constexpr (std::is_same_v<Item, Member>) {
+          return {JsonView(node_).as_key(), JsonView(node_ + 1)};
+        } else {
+          return JsonView(node_);
+        }
+      }
+      iterator& operator++() noexcept {
+        // A member is its key node followed by the value's subtree.
+        node_ += std::is_same_v<Item, Member> ? 1 + node_[1].extent : node_->extent;
+        return *this;
+      }
+      [[nodiscard]] bool operator==(const iterator&) const noexcept = default;
+
+     private:
+      friend class Children;
+      explicit iterator(const detail::JsonNode* node) noexcept : node_(node) {}
+      const detail::JsonNode* node_;
+    };
+
+    [[nodiscard]] iterator begin() const noexcept { return iterator(container_ + 1); }
+    [[nodiscard]] iterator end() const noexcept {
+      return iterator(container_ + container_->extent);
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return container_->count; }
+    [[nodiscard]] bool empty() const noexcept { return container_->count == 0; }
+
+   private:
+    friend class JsonView;
+    explicit Children(const detail::JsonNode* container) noexcept : container_(container) {}
+    const detail::JsonNode* container_;
+  };
+
+  [[nodiscard]] Kind kind() const noexcept { return node_->kind; }
+  [[nodiscard]] bool is_object() const noexcept { return node_->kind == Kind::kObject; }
+  [[nodiscard]] bool is_array() const noexcept { return node_->kind == Kind::kArray; }
+
+  /// Typed accessors; throw JsonError{kType} on a kind mismatch, with
+  /// JsonValue's messages.
+  [[nodiscard]] double as_number() const;
+  [[nodiscard]] bool as_bool() const;
+  /// A view of the document's bytes: the input, or its decode buffer when
+  /// the literal held an escape.
+  [[nodiscard]] std::string_view as_string() const;
+
+  /// First member named `key`: std::nullopt when absent (or when this is not
+  /// an object), like JsonValue::find.
+  [[nodiscard]] std::optional<JsonView> find(std::string_view key) const noexcept {
+    if (node_->kind != Kind::kObject) return std::nullopt;
+    for (const auto& [name, value] : Children<Member>(node_)) {
+      if (name == key) return value;
+    }
+    return std::nullopt;
+  }
+
+  /// Element and member ranges; throw JsonError{kType} on a kind mismatch.
+  [[nodiscard]] Children<JsonView> elements() const;
+  [[nodiscard]] Children<Member> members() const;
+
+ private:
+  friend class JsonDocument;
+  explicit JsonView(const detail::JsonNode* node) noexcept : node_(node) {}
+  [[nodiscard]] std::string_view as_key() const noexcept { return {node_->text, node_->length}; }
+
+  const detail::JsonNode* node_;
+};
+
+/// One JSON document parsed once into a flat node array (a "tape", after
+/// Langdale & Lemire, "Parsing Gigabytes of JSON per Second", VLDB J. 2019):
+/// the array is reserved from the input's length, a string without escapes
+/// is a view of the input, and the escaped ones decode into a single
+/// buffer reserved once. Read it through root(). Views point into the
+/// input, so a JsonDocument must not outlive the bytes it was parsed from;
+/// it is move-only, since a copy's views would still point into the
+/// original's buffer.
+class JsonDocument {
+ public:
+  /// Parses with exactly JsonValue::parse's grammar and limits, and throws
+  /// the same JsonError kinds and messages at the same byte offsets. The
+  /// tape's offsets are 32-bit, so a document is also capped below 4 GiB.
+  [[nodiscard]] static JsonDocument parse(std::string_view text, const ParseLimits& limits = {});
+
+  JsonDocument(JsonDocument&&) noexcept = default;
+  JsonDocument(const JsonDocument&) = delete;
+  JsonDocument& operator=(const JsonDocument&) = delete;
+
+  /// The document's top-level value.
+  [[nodiscard]] JsonView root() const noexcept { return JsonView(nodes_.data()); }
+
+ private:
+  JsonDocument() = default;
+  friend class JsonTokenizer;
+
+  std::vector<detail::JsonNode> nodes_;
+  std::vector<char> decoded_;  ///< Unescaped string bytes; never reallocates once reserved.
 };
 
 /// Appends `text` to `out` as a quoted JSON string literal with the writer's

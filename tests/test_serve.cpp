@@ -188,6 +188,57 @@ TEST(ServeRequest, SeedAcceptsDecimalStringsBeyondDoublePrecision) {
   EXPECT_NE(key.find("\"seed\":\"18446744073709551615\""), std::string::npos);
 }
 
+/// A batch of one query on `workers` identical workers, as the shorthand or
+/// as an explicit list.
+std::string workers_batch(std::size_t workers, bool shorthand) {
+  std::string platform;
+  if (shorthand) {
+    platform = "{\"homogeneous\":{\"workers\":" + std::to_string(workers) + "}}";
+  } else {
+    platform = "{\"workers\":[";
+    for (std::size_t i = 0; i < workers; ++i) platform += i == 0 ? "{}" : ",{}";
+    platform += "]}";
+  }
+  return batch_json(1, {"{\"platform\":" + platform + ",\"workload\":100}"});
+}
+
+TEST(ServeRequest, AQueryDescribesAtMostOneHundredThousandWorkers) {
+  for (const bool shorthand : {true, false}) {
+    const Request at_limit = parse_request(workers_batch(100000, shorthand));
+    ASSERT_TRUE(at_limit.queries[0].query.has_value()) << at_limit.queries[0].error;
+    EXPECT_EQ(at_limit.queries[0].query->workers.size(), 100000u);
+
+    // One more is the query's own problem: a slot error, not a refusal.
+    const Request over = parse_request(workers_batch(100001, shorthand));
+    ASSERT_FALSE(over.queries[0].query.has_value());
+    EXPECT_EQ(over.queries[0].error,
+              shorthand ? "bad request: platform.homogeneous.workers must be a non-negative "
+                          "integer <= 100000"
+                        : "bad request: platform.workers exceeds the 100000-worker limit");
+  }
+}
+
+TEST(ServeRequest, ABatchDescribesAtMostOneHundredThousandWorkersInTotal) {
+  const auto query = [](std::size_t workers) {
+    return "{\"platform\":{\"homogeneous\":{\"workers\":" + std::to_string(workers) +
+           "}},\"workload\":100}";
+  };
+  // The default platform is ten workers, and a list counts its entries.
+  const std::string list = "{\"platform\":{\"workers\":[{},{}]},\"workload\":100}";
+  const Request at_limit =
+      parse_request(batch_json(1, {query(60000), "{\"workload\":100}", list, query(39988)}));
+  for (const QuerySlot& slot : at_limit.queries) ASSERT_TRUE(slot.query.has_value()) << slot.error;
+
+  try {
+    (void)parse_request(batch_json(1, {query(60000), "{\"workload\":100}", list, query(39989)}));
+    ADD_FAILURE() << "accepted a batch of 100001 workers";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.kind(), ProtocolError::Kind::kBadRequest);
+    EXPECT_STREQ(e.what(),
+                 "bad request: batch request describes more than 100000 workers in total");
+  }
+}
+
 // --- Canonical keys ---------------------------------------------------------
 
 TEST(ServeCanonicalKey, HomogeneousShorthandMatchesExplicitList) {
@@ -534,6 +585,22 @@ TEST(ServeServer, MalformedPayloadIsAnsweredInSession) {
   EXPECT_EQ(stats.protocol_errors, 1u);
   EXPECT_EQ(stats.received, 1u);
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
+}
+
+TEST(ServeServer, ABatchOverTheWorkerLimitIsRefusedBeforeItExpands) {
+  // Ten maximal shorthand queries in a frame under 1 KB: the second crosses
+  // the batch's 100000-worker budget, so the request is refused whole.
+  const std::string query =
+      "{\"platform\":{\"homogeneous\":{\"workers\":100000}},\"workload\":100}";
+  Server server{ServerOptions{}};
+  const std::string response = server.handle(batch_json(3, std::vector<std::string>(10, query)));
+  EXPECT_EQ(response, make_error_response(-1, "bad request: batch request describes more than "
+                                              "100000 workers in total"));
+  const obs::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.queries, 0u);
+  EXPECT_EQ(stats.plan_cache.lookups, 0u);
   EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
 }
 
