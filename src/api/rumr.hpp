@@ -38,8 +38,8 @@
 ///                    .on_cell([](const sweep::SweepCell& c) { /* stream */ })
 ///                    .execute();
 ///
-/// sweep::run_sweep remains as a thin buffering compatibility wrapper over
-/// the same engine.
+/// Fold the cells into a sweep::SweepResult, as they stream or afterwards,
+/// for the paper's table reductions (win percentages, normalized makespans).
 
 #include <cstddef>
 #include <cstdint>

@@ -96,7 +96,7 @@ std::shared_ptr<const RumrPlan> prepare_rumr(const platform::StarPlatform& platf
     // alternative (set_max_outstanding(2)): hiding the dispatch latency is
     // paid for by losing late binding — a chunk committed to a worker that
     // then runs slow cannot be rebalanced — and the net effect is slightly
-    // negative across the Table 1 space. See bench_ablation_buffering.
+    // negative across the Table 1 space. See `bench_experiments ablation-buffering`.
   }
   return plan;
 }

@@ -38,7 +38,7 @@ void csv_number(std::ostream& out, double v) {
 
 }  // namespace
 
-void write_sweep_metrics_csv(std::ostream& out, const sweep::SweepResult& result) {
+void write_sweep_metrics_csv(std::ostream& out, const std::vector<sweep::SweepCell>& cells) {
   out << "config,error,algorithm,reps";
   {
     // Header columns from an arbitrary cell (names are static).
@@ -48,57 +48,46 @@ void write_sweep_metrics_csv(std::ostream& out, const sweep::SweepResult& result
     }
   }
   out << '\n';
-  for (std::size_t c = 0; c < result.configs().size(); ++c) {
-    for (std::size_t e = 0; e < result.errors().size(); ++e) {
-      for (std::size_t a = 0; a < result.algorithms().size(); ++a) {
-        const sweep::CellStats& cell = result.cell(c, e, a);
-        out << '"' << result.configs()[c].label() << "\",";
-        csv_number(out, result.errors()[e]);
-        out << ',' << result.algorithms()[a] << ',' << cell.reps;
-        for (const NamedStat& s : cell_stats(cell)) {
-          out << ',';
-          csv_number(out, s.acc.mean());
-          out << ',';
-          csv_number(out, s.acc.stddev());
-        }
-        out << '\n';
-      }
+  for (const sweep::SweepCell& cell : cells) {
+    out << '"' << cell.platform_label << "\",";
+    csv_number(out, cell.error);
+    out << ',' << cell.algorithm << ',' << cell.stats.reps;
+    for (const NamedStat& s : cell_stats(cell.stats)) {
+      out << ',';
+      csv_number(out, s.acc.mean());
+      out << ',';
+      csv_number(out, s.acc.stddev());
     }
+    out << '\n';
   }
 }
 
-std::string sweep_metrics_csv(const sweep::SweepResult& result) {
+std::string sweep_metrics_csv(const std::vector<sweep::SweepCell>& cells) {
   std::ostringstream out;
-  write_sweep_metrics_csv(out, result);
+  write_sweep_metrics_csv(out, cells);
   return out.str();
 }
 
-void write_sweep_metrics_json(std::ostream& out, const sweep::SweepResult& result) {
+void write_sweep_metrics_json(std::ostream& out, const std::vector<sweep::SweepCell>& cells) {
   using util::JsonValue;
-  JsonValue cells = JsonValue::array();
-  for (std::size_t c = 0; c < result.configs().size(); ++c) {
-    for (std::size_t e = 0; e < result.errors().size(); ++e) {
-      for (std::size_t a = 0; a < result.algorithms().size(); ++a) {
-        const sweep::CellStats& cell = result.cell(c, e, a);
-        JsonValue row =
-            JsonValue::object({{"config", JsonValue::string(result.configs()[c].label())},
-                               {"error", JsonValue::number_or_null(result.errors()[e])},
-                               {"algorithm", JsonValue::string(result.algorithms()[a])},
-                               {"reps", JsonValue::number(cell.reps)}});
-        for (const NamedStat& s : cell_stats(cell)) {
-          row.set(std::string(s.name) + "_mean", JsonValue::number_or_null(s.acc.mean()));
-          row.set(std::string(s.name) + "_stddev", JsonValue::number_or_null(s.acc.stddev()));
-        }
-        cells.push_back(std::move(row));
-      }
+  JsonValue rows = JsonValue::array();
+  for (const sweep::SweepCell& cell : cells) {
+    JsonValue row = JsonValue::object({{"config", JsonValue::string(cell.platform_label)},
+                                       {"error", JsonValue::number_or_null(cell.error)},
+                                       {"algorithm", JsonValue::string(cell.algorithm)},
+                                       {"reps", JsonValue::number(cell.stats.reps)}});
+    for (const NamedStat& s : cell_stats(cell.stats)) {
+      row.set(std::string(s.name) + "_mean", JsonValue::number_or_null(s.acc.mean()));
+      row.set(std::string(s.name) + "_stddev", JsonValue::number_or_null(s.acc.stddev()));
     }
+    rows.push_back(std::move(row));
   }
-  out << cells.dump();
+  out << rows.dump();
 }
 
-std::string sweep_metrics_json(const sweep::SweepResult& result) {
+std::string sweep_metrics_json(const std::vector<sweep::SweepCell>& cells) {
   std::ostringstream out;
-  write_sweep_metrics_json(out, result);
+  write_sweep_metrics_json(out, cells);
   return out.str();
 }
 

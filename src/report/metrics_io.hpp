@@ -14,23 +14,25 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "sweep/runner.hpp"
 
 namespace rumr::report {
 
-/// CSV header + one row per sweep cell:
+/// CSV header + one row per sweep cell, in the order given (rumr::Sweep's
+/// execute() returns them in (platform, error, algorithm) order):
 /// config,error,algorithm,reps,<metric>_mean,<metric>_stddev,...
-void write_sweep_metrics_csv(std::ostream& out, const sweep::SweepResult& result);
+void write_sweep_metrics_csv(std::ostream& out, const std::vector<sweep::SweepCell>& cells);
 
 /// Same, to a string.
-[[nodiscard]] std::string sweep_metrics_csv(const sweep::SweepResult& result);
+[[nodiscard]] std::string sweep_metrics_csv(const std::vector<sweep::SweepCell>& cells);
 
 /// JSON array of cell objects with the same fields as the CSV (stable key
 /// order, full precision, non-finite values as null).
-void write_sweep_metrics_json(std::ostream& out, const sweep::SweepResult& result);
+void write_sweep_metrics_json(std::ostream& out, const std::vector<sweep::SweepCell>& cells);
 
 /// Same, to a string.
-[[nodiscard]] std::string sweep_metrics_json(const sweep::SweepResult& result);
+[[nodiscard]] std::string sweep_metrics_json(const std::vector<sweep::SweepCell>& cells);
 
 }  // namespace rumr::report

@@ -8,9 +8,9 @@
 ///   B     = (1.2, 1.3, ..., 2.0) * N  unit/s
 ///   cLat  = 0.0, 0.1, ..., 1.0        s
 ///   nLat  = 0.0, 0.1, ..., 1.0        s
-/// Benches default to a decimated version of the same ranges (coarser steps)
-/// so the default `for b in build/bench/*` run finishes quickly; --full (or
-/// RUMR_FULL=1) selects the paper-exact grid.
+/// bench_experiments defaults to a decimated version of the same ranges
+/// (coarser steps) so a default run finishes quickly; --full selects the
+/// paper-exact grid.
 
 #include <cstddef>
 #include <string>

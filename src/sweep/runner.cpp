@@ -104,8 +104,8 @@ namespace {
 
 sim::SimOptions make_sim_options(double error, std::uint64_t seed,
                                  stats::ErrorDistribution distribution,
-                                 const faults::FaultSpec& faults = {},
-                                 const sim::SimOptions::FaultToleranceOptions& tolerance = {}) {
+                                 const faults::FaultSpec& faults,
+                                 const sim::SimOptions::FaultToleranceOptions& tolerance) {
   sim::SimOptions options;
   options.comm_error = stats::ErrorModel(distribution, error);
   options.comp_error = stats::ErrorModel(distribution, error);
@@ -293,27 +293,32 @@ void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
       });
 }
 
-SweepResult::SweepResult(std::vector<PlatformConfig> configs, std::vector<double> errors,
+SweepResult::SweepResult(std::size_t platforms, std::vector<double> errors,
                          std::vector<std::string> algorithms)
-    : configs_(std::move(configs)),
+    : platforms_(platforms),
       errors_(std::move(errors)),
       algorithms_(std::move(algorithms)),
-      cells_(configs_.size() * errors_.size() * algorithms_.size()) {}
+      means_(platforms_ * errors_.size() * algorithms_.size()) {}
 
-CellStats& SweepResult::cell(std::size_t config, std::size_t error, std::size_t algo) {
-  return cells_[(config * errors_.size() + error) * algorithms_.size() + algo];
+void SweepResult::add(const SweepCell& cell) {
+  if (cell.platform_index >= platforms_ || cell.error_index >= errors_.size() ||
+      cell.algorithm_index >= algorithms_.size()) {
+    throw std::out_of_range("SweepResult::add: the cell's indices lie outside the fold");
+  }
+  means_[(cell.platform_index * errors_.size() + cell.error_index) * algorithms_.size() +
+         cell.algorithm_index] = cell.stats.makespan.mean();
 }
 
-const CellStats& SweepResult::cell(std::size_t config, std::size_t error,
-                                   std::size_t algo) const {
-  return cells_[(config * errors_.size() + error) * algorithms_.size() + algo];
+double SweepResult::mean_makespan(std::size_t platform, std::size_t error,
+                                  std::size_t algo) const {
+  return means_[(platform * errors_.size() + error) * algorithms_.size() + algo];
 }
 
 double SweepResult::mean_normalized_makespan(std::size_t error, std::size_t algo) const {
   stats::Accumulator ratios;
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    const double reference = cell(c, error, 0).makespan.mean();
-    const double competitor = cell(c, error, algo).makespan.mean();
+  for (std::size_t p = 0; p < platforms_; ++p) {
+    const double reference = mean_makespan(p, error, 0);
+    const double competitor = mean_makespan(p, error, algo);
     if (reference > 0.0) ratios.add(competitor / reference);
   }
   return ratios.mean();
@@ -324,9 +329,9 @@ double SweepResult::win_percentage(std::size_t band, std::size_t algo, bool by_m
   std::size_t total = 0;
   for (std::size_t e = 0; e < errors_.size(); ++e) {
     if (error_band(errors_[e]) != band) continue;
-    for (std::size_t c = 0; c < configs_.size(); ++c) {
-      const double reference = cell(c, e, 0).makespan.mean();
-      const double competitor = cell(c, e, algo).makespan.mean();
+    for (std::size_t p = 0; p < platforms_; ++p) {
+      const double reference = mean_makespan(p, e, 0);
+      const double competitor = mean_makespan(p, e, algo);
       ++total;
       if (by_margin ? reference * 1.10 <= competitor : reference < competitor) ++wins;
     }
@@ -338,47 +343,12 @@ double SweepResult::overall_win_percentage(std::size_t algo) const {
   std::size_t wins = 0;
   std::size_t total = 0;
   for (std::size_t e = 0; e < errors_.size(); ++e) {
-    for (std::size_t c = 0; c < configs_.size(); ++c) {
+    for (std::size_t p = 0; p < platforms_; ++p) {
       ++total;
-      if (cell(c, e, 0).makespan.mean() < cell(c, e, algo).makespan.mean()) ++wins;
+      if (mean_makespan(p, e, 0) < mean_makespan(p, e, algo)) ++wins;
     }
   }
   return total == 0 ? 0.0 : 100.0 * static_cast<double>(wins) / static_cast<double>(total);
-}
-
-double SweepResult::per_rep_win_percentage(std::size_t band, std::size_t algo,
-                                           bool by_margin) const {
-  std::size_t wins = 0;
-  std::size_t total = 0;
-  for (std::size_t e = 0; e < errors_.size(); ++e) {
-    if (error_band(errors_[e]) != band) continue;
-    for (std::size_t c = 0; c < configs_.size(); ++c) {
-      const CellStats& stats = cell(c, e, algo);
-      wins += by_margin ? stats.ref_wins_by_10pct : stats.ref_wins;
-      total += stats.reps;
-    }
-  }
-  return total == 0 ? 0.0 : 100.0 * static_cast<double>(wins) / static_cast<double>(total);
-}
-
-SweepResult run_sweep(const std::vector<PlatformConfig>& configs,
-                      const std::vector<AlgorithmSpec>& algorithms, const SweepOptions& options) {
-  if (algorithms.empty()) throw std::invalid_argument("run_sweep needs at least one algorithm");
-  if (const std::vector<std::string> problems = options.validate(); !problems.empty()) {
-    throw_invalid("invalid SweepOptions:", problems);
-  }
-
-  std::vector<std::string> names;
-  names.reserve(algorithms.size());
-  for (const AlgorithmSpec& spec : algorithms) names.push_back(spec.name);
-  SweepResult result(configs, options.errors, std::move(names));
-
-  // Thin buffering wrapper: the streaming engine serializes consumer calls,
-  // and every cell has its own slot, so plain assignment is race-free.
-  run_sweep_streaming(wrap_grid(configs), algorithms, options, [&result](const SweepCell& cell) {
-    result.cell(cell.platform_index, cell.error_index, cell.algorithm_index) = cell.stats;
-  });
-  return result;
 }
 
 // --- open-system sweeps ------------------------------------------------------
@@ -535,13 +505,6 @@ void audit_cell_merge(const std::string& label, const JobsCellStats& merged,
   check::audit_histogram_merge(label + ".queue_waits", merged.queue_waits, serial.queue_waits,
                                report);
   check::audit_histogram_merge(label + ".job_sizes", merged.job_sizes, serial.job_sizes, report);
-}
-
-double run_once(const PlatformConfig& config, const AlgorithmSpec& spec, double error,
-                std::uint64_t seed, double w_total, stats::ErrorDistribution distribution) {
-  const platform::StarPlatform platform = config.to_platform();
-  const auto policy = spec.make(platform, w_total, error);
-  return simulate(platform, *policy, make_sim_options(error, seed, distribution)).makespan;
 }
 
 }  // namespace rumr::sweep

@@ -74,8 +74,8 @@ struct SweepOptions {
 
   /// Validates every option in one pass and returns the full list of
   /// human-readable problems (empty means the options are usable).
-  /// run_sweep calls this up front and raises std::invalid_argument with
-  /// all of them.
+  /// run_sweep_streaming calls this up front and raises
+  /// std::invalid_argument with all of them.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
@@ -122,28 +122,37 @@ struct SweepCell {
 /// serialized, but their order across sites is unspecified.
 using CellConsumer = std::function<void(const SweepCell&)>;
 
-/// Full sweep output. Cells are indexed [config][error][algorithm].
+/// The table fold of a closed-system sweep: the mean makespan of every
+/// (platform, error, algorithm) cell and nothing else, so a sweep folded as
+/// its cells stream (rumr::Sweep with buffer(false)) holds one double per
+/// cell instead of a CellStats. Cells may be added in any order; the
+/// reductions sum over platforms and errors in index order, so their values
+/// do not depend on the order the cells arrived in.
 class SweepResult {
  public:
-  SweepResult(std::vector<PlatformConfig> configs, std::vector<double> errors,
+  SweepResult(std::size_t platforms, std::vector<double> errors,
               std::vector<std::string> algorithms);
 
-  [[nodiscard]] const std::vector<PlatformConfig>& configs() const noexcept { return configs_; }
+  /// Records `cell`'s mean makespan at its (platform, error, algorithm)
+  /// indices. Throws std::out_of_range when an index exceeds the fold's shape.
+  void add(const SweepCell& cell);
+
+  [[nodiscard]] std::size_t platforms() const noexcept { return platforms_; }
   [[nodiscard]] const std::vector<double>& errors() const noexcept { return errors_; }
   [[nodiscard]] const std::vector<std::string>& algorithms() const noexcept {
     return algorithms_;
   }
 
-  [[nodiscard]] CellStats& cell(std::size_t config, std::size_t error, std::size_t algo);
-  [[nodiscard]] const CellStats& cell(std::size_t config, std::size_t error,
-                                      std::size_t algo) const;
+  /// Mean makespan over the repetitions of one cell.
+  [[nodiscard]] double mean_makespan(std::size_t platform, std::size_t error,
+                                     std::size_t algo) const;
 
   /// Mean makespan of `algo` normalized to the reference (algorithm 0),
-  /// averaged over all configurations, at error index `error`. This is the
+  /// averaged over all platforms, at error index `error`. This is the
   /// y-axis of the paper's Figures 4-7.
   [[nodiscard]] double mean_normalized_makespan(std::size_t error, std::size_t algo) const;
 
-  /// Percentage (0-100) of experiments — a (configuration, error value) pair
+  /// Percentage (0-100) of experiments — a (platform, error value) pair
   /// whose result is the mean makespan over repetitions, as in the paper —
   /// across error band `band`, in which the reference strictly outperformed
   /// `algo` (Table 2) or did so by >= 10% (Table 3).
@@ -153,16 +162,11 @@ class SweepResult {
   /// Overall win percentage across every cell (the paper's "79% overall").
   [[nodiscard]] double overall_win_percentage(std::size_t algo) const;
 
-  /// Per-repetition win percentage (same-seed pairwise comparisons) for the
-  /// given band — a finer-grained companion metric the paper does not show.
-  [[nodiscard]] double per_rep_win_percentage(std::size_t band, std::size_t algo,
-                                              bool by_margin = false) const;
-
  private:
-  std::vector<PlatformConfig> configs_;
+  std::size_t platforms_;
   std::vector<double> errors_;
   std::vector<std::string> algorithms_;
-  std::vector<CellStats> cells_;
+  std::vector<double> means_;  ///< [platform][error][algorithm]
 };
 
 /// The streaming engine: shards every (platform, error) site, runs the grid
@@ -175,14 +179,6 @@ class SweepResult {
 void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
                          const std::vector<AlgorithmSpec>& algorithms,
                          const SweepOptions& options, const CellConsumer& consumer);
-
-/// Buffering wrapper over run_sweep_streaming for Table 1 grids: collects
-/// every streamed cell into a SweepResult. Prefer the rumr::Sweep facade
-/// builder (api/rumr.hpp) in new code; this remains for the bench harnesses
-/// and as the compatibility surface.
-[[nodiscard]] SweepResult run_sweep(const std::vector<PlatformConfig>& configs,
-                                    const std::vector<AlgorithmSpec>& algorithms,
-                                    const SweepOptions& options);
 
 /// The per-repetition seed the engine derives — exposed so tests and tools
 /// can reproduce any single run of a sweep in isolation:
@@ -276,12 +272,5 @@ void audit_cell_merge(const std::string& label, const CellStats& merged,
                       const CellStats& serial, check::AuditReport& report);
 void audit_cell_merge(const std::string& label, const JobsCellStats& merged,
                       const JobsCellStats& serial, check::AuditReport& report);
-
-/// Single-run convenience used by benches and examples: simulates `spec` once
-/// and returns the makespan.
-[[nodiscard]] double run_once(const PlatformConfig& config, const AlgorithmSpec& spec,
-                              double error, std::uint64_t seed, double w_total = 1000.0,
-                              stats::ErrorDistribution distribution =
-                                  stats::ErrorDistribution::kTruncatedNormal);
 
 }  // namespace rumr::sweep

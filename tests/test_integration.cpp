@@ -1,10 +1,11 @@
 // End-to-end integration tests: the paper's headline claims at pinned
-// configurations, exercised through the same pipeline the bench harnesses
-// use (factory -> sweep runner -> aggregation).
+// configurations, exercised through the same pipeline bench_experiments
+// uses (factory -> rumr::Sweep -> SweepResult fold).
 
 #include <gtest/gtest.h>
 
-#include "sweep/runner.hpp"
+#include "api/rumr.hpp"
+#include "sweep_fold.hpp"
 
 namespace rumr::sweep {
 namespace {
@@ -16,10 +17,8 @@ TEST(Integration, RumrBeatsAllCompetitorsOnLowLatencyPlatformAtHighError) {
   spec.b_over_n_values = {1.8};
   spec.clat_values = {0.1};
   spec.nlat_values = {0.1};
-  SweepOptions options;
-  options.errors = {0.4};
-  options.repetitions = 40;
-  const SweepResult res = run_sweep(make_grid(spec), paper_competitors(), options);
+  const SweepResult res =
+      fold(Sweep().grid(spec).errors({0.4}).reps(40).policies(paper_competitors()).execute());
   for (std::size_t a = 1; a < res.algorithms().size(); ++a) {
     EXPECT_GT(res.mean_normalized_makespan(0, a), 1.0)
         << res.algorithms()[a] << " should lose to RUMR here";
@@ -35,10 +34,9 @@ TEST(Integration, UmrIsBestAtZeroError) {
   spec.b_over_n_values = {1.5};
   spec.clat_values = {0.2};
   spec.nlat_values = {0.2};
-  SweepOptions options;
-  options.errors = {0.0};
-  options.repetitions = 1;  // Deterministic at zero error.
-  const SweepResult res = run_sweep(make_grid(spec), paper_competitors(), options);
+  // One repetition: deterministic at zero error.
+  const SweepResult res =
+      fold(Sweep().grid(spec).errors({0.0}).reps(1).policies(paper_competitors()).execute());
   const double umr = res.mean_normalized_makespan(0, 1);
   EXPECT_LE(umr, 1.0 + 1e-9);
   for (std::size_t a = 2; a < res.algorithms().size(); ++a) {
@@ -55,10 +53,8 @@ TEST(Integration, InvertedTrendsForUmrAndFactoring) {
   spec.b_over_n_values = {1.6};
   spec.clat_values = {0.1};
   spec.nlat_values = {0.05};
-  SweepOptions options;
-  options.errors = {0.08, 0.44};
-  options.repetitions = 40;
-  const SweepResult res = run_sweep(make_grid(spec), paper_competitors(), options);
+  const SweepResult res = fold(
+      Sweep().grid(spec).errors({0.08, 0.44}).reps(40).policies(paper_competitors()).execute());
   const std::size_t umr = 1;
   const std::size_t factoring = 6;
   EXPECT_GT(res.mean_normalized_makespan(1, umr), res.mean_normalized_makespan(0, umr));
@@ -76,10 +72,8 @@ TEST(Integration, MultiInstallmentTrailsBadlyOnAverage) {
   spec.b_over_n_values = {1.2, 1.8};
   spec.clat_values = {0.1, 0.7};
   spec.nlat_values = {0.1, 0.7};
-  SweepOptions options;
-  options.errors = {0.2};
-  options.repetitions = 10;
-  const SweepResult res = run_sweep(make_grid(spec), paper_competitors(), options);
+  const SweepResult res =
+      fold(Sweep().grid(spec).errors({0.2}).reps(10).policies(paper_competitors()).execute());
   for (std::size_t a = 2; a <= 5; ++a) {  // MI-1 .. MI-4.
     EXPECT_GT(res.mean_normalized_makespan(0, a), 1.05) << res.algorithms()[a];
   }
@@ -93,19 +87,17 @@ TEST(Integration, FscIsDominatedByFactoring) {
   spec.b_over_n_values = {1.5};
   spec.clat_values = {0.2, 0.6};
   spec.nlat_values = {0.2, 0.6};
-  SweepOptions options;
-  options.errors = {0.3};
-  options.repetitions = 15;
-  const SweepResult res = run_sweep(make_grid(spec), extended_competitors(), options);
+  const SweepResult res =
+      fold(Sweep().grid(spec).errors({0.3}).reps(15).policies(extended_competitors()).execute());
   const std::size_t factoring = 6;
   const std::size_t fsc = 7;
   std::size_t factoring_wins = 0;
-  for (std::size_t c = 0; c < res.configs().size(); ++c) {
-    if (res.cell(c, 0, factoring).makespan.mean() < res.cell(c, 0, fsc).makespan.mean()) {
+  for (std::size_t c = 0; c < res.platforms(); ++c) {
+    if (res.mean_makespan(c, 0, factoring) < res.mean_makespan(c, 0, fsc)) {
       ++factoring_wins;
     }
   }
-  EXPECT_GE(factoring_wins * 2, res.configs().size());  // Majority.
+  EXPECT_GE(factoring_wins * 2, res.platforms());  // Majority.
 }
 
 /// The fixed 80/20 split is a sensible unknown-error default: it stays
@@ -117,11 +109,9 @@ TEST(Integration, FixedSplitIsReasonableDefault) {
   spec.b_over_n_values = {1.6};
   spec.clat_values = {0.1};
   spec.nlat_values = {0.1};
-  SweepOptions options;
-  options.errors = {0.1, 0.3, 0.5};
-  options.repetitions = 20;
   const std::vector<AlgorithmSpec> algos{rumr_spec(), rumr_fixed_spec(80)};
-  const SweepResult res = run_sweep(make_grid(spec), algos, options);
+  const SweepResult res =
+      fold(Sweep().grid(spec).errors({0.1, 0.3, 0.5}).reps(20).policies(algos).execute());
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     EXPECT_LT(res.mean_normalized_makespan(e, 1), 1.35);
   }

@@ -142,13 +142,19 @@ TEST(JsonWriters, JobsReportsParseWithNonFiniteValuesAsNull) {
 }
 
 TEST(JsonWriters, SweepMetricsEscapeNamesAndParseBack) {
-  sweep::SweepResult result({sweep::PlatformConfig{}}, {0.1, kNaN}, {kAwkwardName});
-  sweep::CellStats& cell = result.cell(0, 0, 0);
+  std::vector<sweep::SweepCell> cells(2);
+  cells[0].error = 0.1;
+  cells[1].error = kNaN;
+  for (sweep::SweepCell& swept : cells) {
+    swept.platform_label = sweep::PlatformConfig{}.label();
+    swept.algorithm = kAwkwardName;
+  }
+  sweep::CellStats& cell = cells[0].stats;
   for (const double makespan : {100.0 / 3.0, 200.0 / 7.0, 0.1 + 0.2}) {
     cell.makespan.add(makespan);
     ++cell.reps;
   }
-  const std::string text = report::sweep_metrics_json(result);
+  const std::string text = report::sweep_metrics_json(cells);
   EXPECT_TRUE(seven_bit_clean(text)) << text;
   EXPECT_EQ(text.find('\t'), std::string::npos);
   const JsonValue doc = JsonValue::parse(text);

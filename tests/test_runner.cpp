@@ -1,5 +1,6 @@
-// Tests for the sweep runner (sweep/runner.hpp): determinism, aggregation,
-// and the Table 2 / Table 3 / Figure 4 accessors.
+// Tests for the sweep runner (sweep/runner.hpp), driven through the
+// rumr::Sweep facade: determinism, aggregation, and the Table 2 / Table 3 /
+// Figure 4 reductions of the SweepResult fold.
 
 #include "sweep/runner.hpp"
 
@@ -10,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "api/rumr.hpp"
 #include "baselines/static_sequence.hpp"
 #include "report/metrics_io.hpp"
+#include "sweep_fold.hpp"
 #include "util/json_lite.hpp"
 
 namespace rumr::sweep {
@@ -33,74 +36,73 @@ SweepOptions tiny_options() {
   return options;
 }
 
+/// The tiny grid's one platform at errors {0, 0.2, 0.4}, 5 repetitions.
+Sweep tiny_sweep(std::vector<AlgorithmSpec> algos) {
+  Sweep builder;
+  builder.grid(tiny_grid()).errors({0.0, 0.2, 0.4}).reps(5).policies(std::move(algos));
+  return builder;
+}
+
+/// Cell (error e, algorithm a) of a one-platform sweep of `algos` algorithms,
+/// in execute()'s (platform, error, algorithm) order.
+const CellStats& cell_at(const std::vector<SweepCell>& cells, std::size_t algos, std::size_t e,
+                         std::size_t a) {
+  return cells.at(e * algos + a).stats;
+}
+
 TEST(Runner, RejectsEmptyAlgorithmList) {
-  EXPECT_THROW((void)run_sweep(make_grid(tiny_grid()), {}, tiny_options()),
-               std::invalid_argument);
+  EXPECT_THROW((void)tiny_sweep({}).execute(), std::invalid_argument);
 }
 
 TEST(Runner, ShapesMatchInputs) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
-  EXPECT_EQ(res.configs().size(), 1u);
+  const std::vector<SweepCell> cells = tiny_sweep({rumr_spec(), umr_spec()}).execute();
+  ASSERT_EQ(cells.size(), 6u);
+  const SweepResult res = fold(cells);
+  EXPECT_EQ(res.platforms(), 1u);
   EXPECT_EQ(res.errors().size(), 3u);
   ASSERT_EQ(res.algorithms().size(), 2u);
   EXPECT_EQ(res.algorithms()[0], "RUMR");
   EXPECT_EQ(res.algorithms()[1], "UMR");
   for (std::size_t e = 0; e < 3; ++e) {
     for (std::size_t a = 0; a < 2; ++a) {
-      EXPECT_EQ(res.cell(0, e, a).reps, 5u);
-      EXPECT_EQ(res.cell(0, e, a).makespan.count(), 5u);
-      EXPECT_GT(res.cell(0, e, a).makespan.mean(), 0.0);
+      EXPECT_EQ(cell_at(cells, 2, e, a).reps, 5u);
+      EXPECT_EQ(cell_at(cells, 2, e, a).makespan.count(), 5u);
+      EXPECT_GT(cell_at(cells, 2, e, a).makespan.mean(), 0.0);
     }
   }
 }
 
 TEST(Runner, DeterministicAcrossThreadCounts) {
-  const auto configs = make_grid(tiny_grid());
   const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec(), factoring_spec()};
-  SweepOptions one = tiny_options();
-  one.threads = 1;
-  SweepOptions many = tiny_options();
-  many.threads = 8;
-  const SweepResult a = run_sweep(configs, algos, one);
-  const SweepResult b = run_sweep(configs, algos, many);
-  for (std::size_t e = 0; e < a.errors().size(); ++e) {
+  const std::vector<SweepCell> a = tiny_sweep(algos).threads(1).execute();
+  const std::vector<SweepCell> b = tiny_sweep(algos).threads(8).execute();
+  for (std::size_t e = 0; e < 3; ++e) {
     for (std::size_t algo = 0; algo < algos.size(); ++algo) {
-      EXPECT_DOUBLE_EQ(a.cell(0, e, algo).makespan.mean(), b.cell(0, e, algo).makespan.mean());
-      EXPECT_EQ(a.cell(0, e, algo).ref_wins, b.cell(0, e, algo).ref_wins);
+      EXPECT_DOUBLE_EQ(cell_at(a, 3, e, algo).makespan.mean(),
+                       cell_at(b, 3, e, algo).makespan.mean());
+      EXPECT_EQ(cell_at(a, 3, e, algo).ref_wins, cell_at(b, 3, e, algo).ref_wins);
     }
   }
 }
 
 TEST(Runner, BaseSeedChangesResultsUnderError) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
-  SweepOptions a = tiny_options();
-  a.base_seed = 1;
-  SweepOptions b = tiny_options();
-  b.base_seed = 2;
-  const SweepResult ra = run_sweep(configs, algos, a);
-  const SweepResult rb = run_sweep(configs, algos, b);
+  const std::vector<SweepCell> ra = tiny_sweep({umr_spec()}).seed(1).execute();
+  const std::vector<SweepCell> rb = tiny_sweep({umr_spec()}).seed(2).execute();
   // Error = 0 cells agree (no randomness); error > 0 cells differ.
-  EXPECT_DOUBLE_EQ(ra.cell(0, 0, 0).makespan.mean(), rb.cell(0, 0, 0).makespan.mean());
-  EXPECT_NE(ra.cell(0, 2, 0).makespan.mean(), rb.cell(0, 2, 0).makespan.mean());
+  EXPECT_DOUBLE_EQ(cell_at(ra, 1, 0, 0).makespan.mean(), cell_at(rb, 1, 0, 0).makespan.mean());
+  EXPECT_NE(cell_at(ra, 1, 2, 0).makespan.mean(), cell_at(rb, 1, 2, 0).makespan.mean());
 }
 
 TEST(Runner, ReferenceIsNeverItsOwnWin) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
-  for (std::size_t e = 0; e < res.errors().size(); ++e) {
-    EXPECT_EQ(res.cell(0, e, 0).ref_wins, 0u);
-    EXPECT_EQ(res.cell(0, e, 0).ref_wins_by_10pct, 0u);
+  const std::vector<SweepCell> cells = tiny_sweep({rumr_spec(), umr_spec()}).execute();
+  for (std::size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(cell_at(cells, 2, e, 0).ref_wins, 0u);
+    EXPECT_EQ(cell_at(cells, 2, e, 0).ref_wins_by_10pct, 0u);
   }
 }
 
 TEST(Runner, NormalizedMakespanOfReferenceIsOne) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
+  const SweepResult res = fold(tiny_sweep({rumr_spec(), umr_spec()}).execute());
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     EXPECT_DOUBLE_EQ(res.mean_normalized_makespan(e, 0), 1.0);
     EXPECT_GT(res.mean_normalized_makespan(e, 1), 0.0);
@@ -110,12 +112,12 @@ TEST(Runner, NormalizedMakespanOfReferenceIsOne) {
 TEST(Runner, WinPercentagesAreBounded) {
   GridSpec spec = tiny_grid();
   spec.n_values = {10, 20};
-  const auto configs = make_grid(spec);
-  SweepOptions options;
-  options.errors = {0.04, 0.24, 0.44};
-  options.repetitions = 4;
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), mi_spec(2)};
-  const SweepResult res = run_sweep(configs, algos, options);
+  const SweepResult res = fold(Sweep()
+                                   .grid(spec)
+                                   .errors({0.04, 0.24, 0.44})
+                                   .reps(4)
+                                   .policies({rumr_spec(), mi_spec(2)})
+                                   .execute());
   for (std::size_t band = 0; band < 5; ++band) {
     const double t2 = res.win_percentage(band, 1);
     const double t3 = res.win_percentage(band, 1, true);
@@ -125,31 +127,48 @@ TEST(Runner, WinPercentagesAreBounded) {
   }
   EXPECT_GE(res.overall_win_percentage(1), 0.0);
   EXPECT_LE(res.overall_win_percentage(1), 100.0);
-  EXPECT_GE(res.per_rep_win_percentage(2, 1), 0.0);
-  EXPECT_LE(res.per_rep_win_percentage(2, 1), 100.0);
 }
 
-TEST(Runner, RunOnceMatchesManualSimulation) {
-  const PlatformConfig config{10, 1.5, 0.1, 0.05};
-  const double a = run_once(config, umr_spec(), 0.3, 42);
-  const double b = run_once(config, umr_spec(), 0.3, 42);
-  EXPECT_DOUBLE_EQ(a, b);
-  const double c = run_once(config, umr_spec(), 0.3, 43);
-  EXPECT_NE(a, c);
+TEST(Runner, FoldIsIndependentOfCellOrder) {
+  GridSpec spec = tiny_grid();
+  spec.n_values = {10, 20};
+  const std::vector<SweepCell> cells =
+      Sweep().grid(spec).errors({0.04, 0.24, 0.44}).reps(4).policies({rumr_spec(), mi_spec(2)})
+          .execute();
+  const SweepResult in_order = fold(cells);
+  SweepResult reversed(in_order.platforms(), in_order.errors(), in_order.algorithms());
+  for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) reversed.add(*cell);
+  for (std::size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(reversed.mean_normalized_makespan(e, 1), in_order.mean_normalized_makespan(e, 1));
+  }
+  for (std::size_t band = 0; band < 5; ++band) {
+    EXPECT_EQ(reversed.win_percentage(band, 1, true), in_order.win_percentage(band, 1, true));
+  }
+  EXPECT_EQ(reversed.overall_win_percentage(1), in_order.overall_win_percentage(1));
+}
+
+TEST(Runner, FoldRejectsCellsOutsideItsShape) {
+  SweepResult result(1, {0.0, 0.2}, {"RUMR", "UMR"});
+  SweepCell cell;
+  cell.error_index = 2;
+  EXPECT_THROW(result.add(cell), std::out_of_range);
+  cell.error_index = 1;
+  cell.algorithm_index = 2;
+  EXPECT_THROW(result.add(cell), std::out_of_range);
+  cell.algorithm_index = 1;
+  cell.platform_index = 1;
+  EXPECT_THROW(result.add(cell), std::out_of_range);
 }
 
 TEST(Runner, UniformDistributionOptionIsHonored) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
-  SweepOptions normal = tiny_options();
-  SweepOptions uniform = tiny_options();
-  uniform.distribution = stats::ErrorDistribution::kUniform;
-  const SweepResult rn = run_sweep(configs, algos, normal);
-  const SweepResult ru = run_sweep(configs, algos, uniform);
+  const std::vector<SweepCell> rn = tiny_sweep({umr_spec()}).execute();
+  const std::vector<SweepCell> ru =
+      tiny_sweep({umr_spec()}).distribution(stats::ErrorDistribution::kUniform).execute();
   // Different distributions, same seeds: different perturbed makespans.
-  EXPECT_NE(rn.cell(0, 2, 0).makespan.mean(), ru.cell(0, 2, 0).makespan.mean());
+  EXPECT_NE(cell_at(rn, 1, 2, 0).makespan.mean(), cell_at(ru, 1, 2, 0).makespan.mean());
   // But similar magnitude (the paper's "essentially similar" claim).
-  EXPECT_NEAR(rn.cell(0, 2, 0).makespan.mean() / ru.cell(0, 2, 0).makespan.mean(), 1.0, 0.2);
+  EXPECT_NEAR(cell_at(rn, 1, 2, 0).makespan.mean() / cell_at(ru, 1, 2, 0).makespan.mean(), 1.0,
+              0.2);
 }
 
 // --- option validation ------------------------------------------------------
@@ -187,57 +206,48 @@ TEST(SweepOptionsValidate, MessagesAreHumanReadable) {
 }
 
 TEST(Runner, RejectsInvalidOptionsUpFront) {
-  SweepOptions options = tiny_options();
-  options.repetitions = 0;
-  EXPECT_THROW((void)run_sweep(make_grid(tiny_grid()), {umr_spec()}, options),
+  EXPECT_THROW((void)tiny_sweep({umr_spec()}).errors({0.1, -0.2}).execute(),
                std::invalid_argument);
 }
 
 // --- metrics aggregation and export ----------------------------------------
 
 TEST(Runner, AggregatesObservabilityMetricsPerCell) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
-  for (std::size_t e = 0; e < res.errors().size(); ++e) {
-    for (std::size_t a = 0; a < algos.size(); ++a) {
-      const CellStats& cell = res.cell(0, e, a);
-      EXPECT_EQ(cell.uplink_utilization.count(), cell.reps);
-      EXPECT_EQ(cell.worker_utilization.count(), cell.reps);
-      EXPECT_EQ(cell.events.count(), cell.reps);
-      EXPECT_EQ(cell.hol_blocking_time.count(), cell.reps);
-      EXPECT_EQ(cell.work_redispatched.count(), cell.reps);
-      EXPECT_GT(cell.uplink_utilization.mean(), 0.0);
-      EXPECT_LE(cell.uplink_utilization.mean(), 1.0);
-      EXPECT_GT(cell.events.mean(), 0.0);
-      // No faults in this sweep: nothing may be re-dispatched.
-      EXPECT_DOUBLE_EQ(cell.work_redispatched.mean(), 0.0);
-    }
+  const std::vector<SweepCell> cells = tiny_sweep({rumr_spec(), umr_spec()}).execute();
+  ASSERT_EQ(cells.size(), 6u);
+  for (const SweepCell& swept : cells) {
+    const CellStats& cell = swept.stats;
+    EXPECT_EQ(cell.uplink_utilization.count(), cell.reps);
+    EXPECT_EQ(cell.worker_utilization.count(), cell.reps);
+    EXPECT_EQ(cell.events.count(), cell.reps);
+    EXPECT_EQ(cell.hol_blocking_time.count(), cell.reps);
+    EXPECT_EQ(cell.work_redispatched.count(), cell.reps);
+    EXPECT_GT(cell.uplink_utilization.mean(), 0.0);
+    EXPECT_LE(cell.uplink_utilization.mean(), 1.0);
+    EXPECT_GT(cell.events.mean(), 0.0);
+    // No faults in this sweep: nothing may be re-dispatched.
+    EXPECT_DOUBLE_EQ(cell.work_redispatched.mean(), 0.0);
   }
 }
 
 TEST(MetricsIo, CsvHasOneRowPerCellWithStableHeader) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
-  const std::string csv = report::sweep_metrics_csv(res);
+  const std::vector<SweepCell> cells = tiny_sweep({rumr_spec(), umr_spec()}).execute();
+  const std::string csv = report::sweep_metrics_csv(cells);
   EXPECT_NE(csv.find("config,error,algorithm,reps,makespan_mean,makespan_stddev"),
             std::string::npos);
   // Header + one row per (config, error, algorithm) cell.
   const std::size_t rows = static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(rows, 1u + res.configs().size() * res.errors().size() * res.algorithms().size());
+  EXPECT_EQ(rows, 1u + 1u * 3u * 2u);
   EXPECT_NE(csv.find("RUMR"), std::string::npos);
   EXPECT_NE(csv.find("UMR"), std::string::npos);
 }
 
 TEST(MetricsIo, JsonIsBalancedAndCarriesEveryCell) {
-  const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
-  const SweepResult res = run_sweep(configs, algos, tiny_options());
+  const std::vector<SweepCell> swept = tiny_sweep({umr_spec()}).execute();
   // Parsing is the balance check: a document with an unbalanced brace throws.
-  const util::JsonValue json = util::JsonValue::parse(report::sweep_metrics_json(res));
+  const util::JsonValue json = util::JsonValue::parse(report::sweep_metrics_json(swept));
   const auto& cells = json.as_array();
-  ASSERT_EQ(cells.size(), res.configs().size() * res.errors().size() * res.algorithms().size());
+  ASSERT_EQ(cells.size(), 1u * 3u * 1u);
   for (const util::JsonValue& cell : cells) {
     EXPECT_NE(cell.find("algorithm"), nullptr);
     EXPECT_NE(cell.find("uplink_utilization_mean"), nullptr);
@@ -274,12 +284,17 @@ TEST(PaperRule, Table3MarginIsTenPercentOfRumrsMakespan) {
   EXPECT_EQ(competitor.stats.ref_wins_by_10pct, 2u);
 
   // The same margin over cell means.
-  SweepResult result({PlatformConfig{}}, {0.0}, {"RUMR", "competitor"});
-  result.cell(0, 0, 0).makespan.add(100.0);
-  result.cell(0, 0, 1).makespan.add(110.5);
+  const auto cell_with_mean = [](std::size_t algo, double makespan) {
+    SweepCell cell;
+    cell.algorithm_index = algo;
+    cell.stats.makespan.add(makespan);
+    return cell;
+  };
+  SweepResult result(1, {0.0}, {"RUMR", "competitor"});
+  result.add(cell_with_mean(0, 100.0));
+  result.add(cell_with_mean(1, 110.5));
   EXPECT_EQ(result.win_percentage(error_band(0.0), 1, /*by_margin=*/true), 100.0);
-  result.cell(0, 0, 1).makespan = {};
-  result.cell(0, 0, 1).makespan.add(109.9);
+  result.add(cell_with_mean(1, 109.9));
   EXPECT_EQ(result.win_percentage(error_band(0.0), 1, /*by_margin=*/true), 0.0);
   EXPECT_EQ(result.win_percentage(error_band(0.0), 1), 100.0);
 }

@@ -186,7 +186,7 @@ TEST(UmrPolicy, TimetableAndEagerStayCloseOnAverage) {
   // The two disciplines diverge only by whether the master may run ahead of
   // its planned send times; on a single small platform their mean makespans
   // stay within a few percent (the systematic timetable penalty emerges on
-  // large parameter sweeps — see bench_ablation_buffering).
+  // large parameter sweeps — see `bench_experiments ablation-buffering`).
   const platform::StarPlatform p = small_platform();
   double eager_total = 0.0;
   double timed_total = 0.0;
