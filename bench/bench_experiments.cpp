@@ -15,10 +15,11 @@
 // Eight rows sweep a policy line-up over a platform grid and an error axis
 // through rumr::Sweep. Their cells are folded into a sweep::SweepResult as
 // they stream, one mean makespan per cell, so not even the paper-exact grid
-// keeps a cell's statistics. The other four rows are studies that need
-// engine options a sweep does not take (uplink channels, buffer depth, error
-// processes, random heterogeneous platforms); they keep their own loops and
-// seeds.
+// keeps a cell's statistics. The other seven rows are studies with their own
+// loops and seeds: four need engine options a sweep does not take (uplink
+// channels, buffer depth, error processes, random heterogeneous platforms),
+// one sweeps the worker-fault MTBF on seed lanes of its own, and two run
+// rumr::Sweep's open-system and raced modes.
 
 #include <algorithm>
 #include <charconv>
@@ -440,9 +441,10 @@ void nonstationary(const Scale& scale, std::ostream& out) {
                    report::format_double(rumr_mean.mean(), 1)});
   }
   table.print(out);
-  out << "\nexpected: RUMR's edge over UMR persists under drifting and bursty\n"
-         "errors (its phase 2 is prediction-free); the adaptive variant tracks\n"
-         "RUMR since its pilot estimate follows the effective magnitude.\n";
+  out << "\nexpected: drifting errors do not break RUMR (its phase 2 is\n"
+         "prediction-free), but on this subgrid it ties UMR under stationary and\n"
+         "random-walk errors and pulls ahead only under bursts; the adaptive variant\n"
+         "tracks RUMR since its pilot estimate follows the effective magnitude.\n";
 }
 
 /// Parallel master uplink channels (paper section 3.1: "it could be
@@ -571,6 +573,149 @@ void ablation_buffering(const Scale& scale, std::ostream& out) {
          "RUMR increasingly with error; eager execution closes most of that gap\n"
          "(pre-buffering when transfers finish early); with cap=1 out-of-order\n"
          "dispatch adds ~1% at high error, evaporating with infinite buffers.\n";
+}
+
+/// Makespan under transient worker outages (DESIGN.md §10): RUMR, UMR and
+/// Factoring on one Table 1-style platform as the MTBF shrinks, with
+/// MTTR = MTBF/10 (availability ~91%) and the fault-free run as baseline.
+void robustness(const Scale& scale, std::ostream& out) {
+  const std::size_t reps = scale.repetitions(8);
+  const double error = 0.1;
+  const double workload = 1000.0;
+  const platform::StarPlatform platform = sweep::PlatformConfig{10, 1.6, 0.3, 0.3}.to_platform();
+  const struct {
+    double mtbf;  // 0 = no faults.
+    const char* label;
+  } axis[] = {{0.0, "no faults"}, {1600.0, "1600"}, {800.0, "800"}, {400.0, "400"},
+              {200.0, "200"}};
+  const std::vector<sweep::AlgorithmSpec> lineup = {sweep::rumr_spec(), sweep::umr_spec(),
+                                                    sweep::factoring_spec()};
+
+  out << "=== Robustness to worker faults (extension) ===\n"
+      << "mean makespan (s) over " << reps << " repetitions, W = " << workload
+      << ", error = " << error << ", N = " << platform.size()
+      << ", transient faults with MTTR = MTBF/10\n\n";
+  std::vector<std::string> headers = {"MTBF (s)"};
+  for (const sweep::AlgorithmSpec& spec : lineup) headers.push_back(spec.name);
+  report::TextTable table(std::move(headers));
+  for (const auto& point : axis) {
+    std::vector<double> means;
+    for (const sweep::AlgorithmSpec& spec : lineup) {
+      stats::Accumulator makespans;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        sim::SimOptions options = sim::SimOptions::with_error(
+            error,
+            stats::mix_seed(0x0B057ULL, rep, static_cast<std::uint64_t>(point.mtbf * 1000.0)));
+        if (point.mtbf > 0.0) {
+          options.faults = faults::FaultSpec::transient(point.mtbf, point.mtbf / 10.0);
+        }
+        const auto policy = spec.make(platform, workload, error);
+        makespans.add(simulate(platform, *policy, options).makespan);
+      }
+      means.push_back(makespans.mean());
+    }
+    table.add_row(point.label, means, 1);
+  }
+  table.print(out);
+  out << "\nexpected: makespans grow as the MTBF shrinks, Factoring's steepest; with\n"
+         "few repetitions neighbouring MTBFs can swap (at 8, UMR's 800 s and 400 s).\n";
+}
+
+/// Mean job slowdown against offered load for the three platform-sharing
+/// policies (DESIGN.md §11): one stream of Poisson jobs per cell on one
+/// Table 1-style platform, RUMR per job, transient worker outages in every
+/// inner run. It ignores --threads: its sweeps have only 4 shards at one
+/// run per cell, so a wider --threads would be refused after earlier rows
+/// had printed.
+void open_system(const Scale& scale, std::ostream& out) {
+  const std::size_t reps = scale.repetitions(1);
+  const double error = 0.2;
+  const double mean_size = 300.0;
+  const std::size_t jobs_per_run = 60;
+  const double mtbf = 1200.0;
+  const sweep::PlatformConfig config{10, 1.6, 0.3, 0.3};
+  const std::vector<double> loads = sweep::load_axis(0.3, 0.9, 0.2);
+  const std::vector<jobs::SharingPolicy> policies = {jobs::SharingPolicy::kExclusive,
+                                                     jobs::SharingPolicy::kPartitioned,
+                                                     jobs::SharingPolicy::kFractional};
+
+  out << "=== Open system: mean slowdown vs offered load (extension) ===\n"
+      << jobs_per_run << " Poisson jobs of mean size " << mean_size << " per run, error = "
+      << error << ", N = " << config.n << ", transient faults MTBF = " << mtbf << ", " << reps
+      << (reps == 1 ? " run" : " runs") << " per cell\n\n";
+  std::vector<std::string> headers = {"load"};
+  for (const jobs::SharingPolicy policy : policies) headers.emplace_back(to_string(policy));
+  report::TextTable table(std::move(headers));
+  std::vector<std::vector<double>> rows(loads.size());
+  for (const jobs::SharingPolicy policy : policies) {
+    jobs::JobsOptions base;
+    base.sharing = policy;
+    base.partitions = 2;
+    base.stream = jobs::JobStreamSpec::poisson(1.0, jobs_per_run, mean_size);
+    base.stream.size_dist = jobs::SizeDistribution::kUniform;
+    base.stream.size_spread = 0.4;
+    base.known_error = error;
+    base.sim = sim::SimOptions::with_error(error, 1);
+    base.sim.faults = faults::FaultSpec::transient(mtbf, mtbf / 10.0);
+    const std::vector<sweep::JobsSweepCell> cells =
+        Sweep()
+            .platforms(std::vector<sweep::PlatformConfig>{config})
+            .jobs(base)
+            .loads(loads)
+            .reps(reps)
+            .seed(0x10B5ULL + static_cast<std::uint64_t>(policy))
+            .execute_jobs();
+    for (const sweep::JobsSweepCell& cell : cells) {
+      rows[cell.load_index].push_back(cell.stats.mean_slowdown.mean());
+    }
+  }
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    table.add_row(report::format_double(loads[i], 1), rows[i], 2);
+  }
+  table.print(out);
+  out << "\n(mean slowdown; lower is better. The load is nominal: it counts compute\n"
+         "only, so exclusive sharing is overloaded from 0.7 on; see EXPERIMENTS.md.)\n";
+}
+
+/// Best-arm racing (DESIGN.md §15): each cell's winner among the extended
+/// line-up, certified at delta = 0.05, against the simulations a
+/// fixed-repetition sweep spends at the same per-arm budget. --reps does not
+/// set the budget, which a race needs at 2 or more.
+void raced_grid(const Scale& scale, std::ostream& out) {
+  const double delta = 0.05;
+  const std::size_t budget = 2048;
+  const std::size_t block = 16;
+  const double workload = 300.0;
+  const std::vector<sweep::AlgorithmSpec> lineup = sweep::extended_competitors();
+
+  out << "=== Raced grid: best-arm racing of the extended line-up (extension) ===\n"
+      << "2 platforms x 2 errors x " << lineup.size() << " arms, delta = " << delta
+      << ", block " << block << ", per-arm budget " << budget << ", W = " << workload
+      << "\n\n";
+  std::vector<race::RaceCell> cells =
+      Sweep()
+          .platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}, {20, 1.2, 0.3, 0.1}})
+          .errors({0.3, 0.45})
+          .policies(lineup)
+          .workload(workload)
+          .race(delta)
+          .reps(budget)
+          .rep_block(block)
+          .threads(scale.threads)
+          .execute_race();
+  report::TextTable table({"platform", "error", "winner", "sims raced", "sims fixed", "saved"});
+  for (const race::RaceCell& cell : cells) {
+    const race::RaceResult& result = cell.result;
+    table.add_row({cell.platform_label, report::format_double(cell.error, 2),
+                   result.arms[result.winner].name +
+                       (result.budget_exhausted ? " (uncertified)" : ""),
+                   std::to_string(result.total_samples),
+                   std::to_string(result.fixed_budget_samples()),
+                   report::format_double(result.sims_saved_ratio(), 1) + "x"});
+  }
+  table.print(out);
+  out << "\nexpected: every cell certifies a single winner within budget, with at\n"
+         "least 3x fewer simulations than the fixed-repetition sweep.\n";
 }
 
 // --- the table -------------------------------------------------------------------
@@ -722,12 +867,16 @@ std::vector<Experiment> experiments() {
            .table = Table::kWins,
            .caption = "win percentages (RUMR outperforms, per error band):\n\n",
            .note = "\nexpected: every pure self-scheduler trails RUMR — they pay per-chunk\n"
-                   "latencies without UMR's overlap phase — with GSS's huge first chunks\n"
-                   "hurting most at high error and FSC/TSS sitting between Factoring and GSS.\n"}});
+                   "latencies without UMR's overlap phase; at the highest error Weighted\n"
+                   "Factoring trails furthest, then FSC and GSS, with TSS and Factoring\n"
+                   "closest.\n"}});
   table.push_back({"heterogeneous", heterogeneous});
   table.push_back({"nonstationary", nonstationary});
   table.push_back({"simultaneous", simultaneous});
   table.push_back({"ablation-buffering", ablation_buffering});
+  table.push_back({"robustness", robustness});
+  table.push_back({"open-system", open_system});
+  table.push_back({"raced-grid", raced_grid});
   return table;
 }
 

@@ -30,10 +30,9 @@
 # `ctest -L regression` pass: the golden-trace replays and the DES
 # property/fuzz suite are the lockdown for kernel/engine rework, so they run
 # visibly in every sanitizer configuration, not just inside the full suite.
-# The full suite also runs every self-checking demo (`ctest -L demo`:
-# metrics, jobs, sweep, race, robustness, the determinism harness, the
-# chaos campaign at seed 802537, and the rumr_serve self-test and framed
-# round trip), each of which exits nonzero on any violation.
+# The full suite also runs the two self-checking demos (`ctest -L demo`:
+# the chaos campaign at seed 802537 and the rumr_serve framed round trip),
+# each of which exits nonzero on any violation.
 set -euo pipefail
 cd "$(dirname "$0")"
 

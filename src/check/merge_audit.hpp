@@ -14,7 +14,7 @@
 ///
 /// The sweep layer (which check cannot depend on — sweep links check, not
 /// the reverse) assembles these primitives into its per-cell audit; tests
-/// and tools/sweep_demo call them directly.
+/// call them directly.
 
 #include <string>
 

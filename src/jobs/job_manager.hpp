@@ -32,9 +32,9 @@
 /// Determinism: the job-level timeline runs on des::Simulator (FIFO
 /// tie-breaks), the stream is a pure function of (spec, seed), and every
 /// oracle run derives its seed from (seed, job, segment) — so identically-
-/// seeded runs replay byte-identically (tools/determinism_check enforces
-/// this), and check::audit_service_result verifies the service identities on
-/// every audited run.
+/// seeded runs replay byte-identically (RunJobs.IdenticalSeedsReplayByteIdentically
+/// checks each sharing policy), and check::audit_service_result verifies the
+/// service identities on every audited run.
 
 #include <cstddef>
 #include <cstdint>

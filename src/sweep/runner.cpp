@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -92,14 +93,6 @@ void JobsCellStats::merge(const JobsCellStats& other) {
   job_sizes.merge(other.job_sizes);
 }
 
-std::size_t shards_per_site(std::size_t reps, std::size_t rep_block) noexcept {
-  if (reps == 0) return 0;
-  if (rep_block == 0) rep_block = (reps + 7) / 8;
-  if (rep_block < 1) rep_block = 1;
-  if (rep_block > reps) rep_block = reps;
-  return (reps + rep_block - 1) / rep_block;
-}
-
 namespace {
 
 sim::SimOptions make_sim_options(double error, std::uint64_t seed,
@@ -119,14 +112,11 @@ void throw_invalid(const char* what, const std::vector<std::string>& problems) {
   throw std::invalid_argument(util::join_problems(what, problems));
 }
 
-/// Shards per site: how many rep-blocks a (platform, axis) site splits into.
-/// Deliberately a function of (reps, rep_block) only — NEVER of the thread
-/// count — so the shard structure, and therefore the fixed-order merge tree,
-/// is identical for every threads= setting.
-std::size_t resolve_rep_block(std::size_t reps, std::size_t rep_block) {
+/// Repetitions per shard: rep_block, or ceil(reps / 8) when it is 0, clamped
+/// to [1, reps].
+std::size_t block_size(std::size_t reps, std::size_t rep_block) noexcept {
   if (rep_block == 0) rep_block = (reps + 7) / 8;
-  if (rep_block < 1) rep_block = 1;
-  return std::min(rep_block, reps);
+  return std::clamp<std::size_t>(rep_block, 1, std::max<std::size_t>(reps, 1));
 }
 
 /// The map-reduce scaffold shared by the closed- and open-system engines.
@@ -234,6 +224,14 @@ ClosedPartial run_closed_shard(const SweepPlatform& site, double error, std::siz
 
 }  // namespace
 
+/// Deliberately a function of (reps, rep_block) only — NEVER of the thread
+/// count — so the shard structure, and therefore the fixed-order merge tree,
+/// is identical for every threads= setting.
+std::size_t shards_per_site(std::size_t reps, std::size_t rep_block) noexcept {
+  const std::size_t block = block_size(reps, rep_block);
+  return (reps + block - 1) / block;
+}
+
 void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
                          const std::vector<AlgorithmSpec>& algorithms,
                          const SweepOptions& options, const CellConsumer& consumer) {
@@ -243,8 +241,8 @@ void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
   if (!consumer) problems.emplace_back("a cell consumer is required");
   if (!problems.empty()) throw_invalid("invalid sweep request:", problems);
 
-  const std::size_t rep_block = resolve_rep_block(options.repetitions, options.rep_block);
-  const std::size_t blocks = (options.repetitions + rep_block - 1) / rep_block;
+  const std::size_t rep_block = block_size(options.repetitions, options.rep_block);
+  const std::size_t blocks = shards_per_site(options.repetitions, options.rep_block);
   const std::size_t num_errors = options.errors.size();
   const std::size_t num_sites = platforms.size() * num_errors;
 
@@ -422,8 +420,8 @@ void run_jobs_sweep(const std::vector<SweepPlatform>& platforms,
   if (!consumer) problems.emplace_back("a cell consumer is required");
   if (!problems.empty()) throw_invalid("invalid jobs-sweep request:", problems);
 
-  const std::size_t rep_block = resolve_rep_block(options.repetitions, options.rep_block);
-  const std::size_t blocks = (options.repetitions + rep_block - 1) / rep_block;
+  const std::size_t rep_block = block_size(options.repetitions, options.rep_block);
+  const std::size_t blocks = shards_per_site(options.repetitions, options.rep_block);
   const std::size_t num_loads = options.loads.size();
 
   run_sharded<JobsCellStats>(

@@ -322,6 +322,27 @@ TEST(SweepFacade, BufferedCellsArriveSortedAndStreamToTheConsumerToo) {
   }
 }
 
+TEST(SweepFacade, UnbufferedSweepStreamsEveryCellExactlyOnce) {
+  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, int> seen;
+  rumr::Sweep sweep;
+  const std::vector<sweep::SweepCell> cells =
+      sweep.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}})
+          .errors({0.1, 0.4})
+          .policies(std::vector<std::string>{"rumr", "umr", "factoring"})
+          .workload(150.0)
+          .reps(4)
+          .rep_block(2)
+          .threads(4)
+          .buffer(false)
+          .on_cell(sweep::CellConsumer([&seen](const sweep::SweepCell& cell) {
+            ++seen[{cell.platform_index, cell.error_index, cell.algorithm_index}];
+          }))
+          .execute();
+  EXPECT_TRUE(cells.empty());
+  EXPECT_EQ(seen.size(), 2u * 2u * 3u);
+  for (const auto& [key, count] : seen) EXPECT_EQ(count, 1);
+}
+
 TEST(SweepFacade, OpenSystemModeSweepsTheLoadAxis) {
   jobs::JobsOptions base;
   base.stream = jobs::JobStreamSpec::poisson(1.0, 5, 100.0);

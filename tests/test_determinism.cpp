@@ -1,7 +1,6 @@
 // Determinism tests: the DES kernel's FIFO tie-break promise
 // (des/simulator.hpp) and byte-identical replay of every scheduler in the
-// evaluation. The tools/determinism_check binary runs the same audits at
-// larger scale; these tests gate them in ctest.
+// evaluation, each replayed run audited.
 
 #include <gtest/gtest.h>
 
@@ -76,7 +75,7 @@ std::string fingerprint(const sweep::AlgorithmSpec& spec, const platform::StarPl
   const sim::SimResult result = sim::simulate(p, *policy, options);
 
   // Every run must also pass the work-conservation audit.
-  const check::AuditReport audit = check::audit_sim_result(result, p, w_total);
+  const check::AuditReport audit = check::audit_run(result, p, w_total, options);
   EXPECT_TRUE(audit.ok()) << spec.name << ": " << audit.summary();
 
   std::ostringstream out;
@@ -87,16 +86,33 @@ std::string fingerprint(const sweep::AlgorithmSpec& spec, const platform::StarPl
 }
 
 TEST(Determinism, EverySchedulerReplaysByteIdentically) {
-  const auto p = platform::StarPlatform::homogeneous({.workers = 8, .speed = 1.0,
-                                                      .bandwidth = 12.0, .comp_latency = 0.05,
-                                                      .comm_latency = 0.02,
-                                                      .transfer_latency = 0.01});
-  for (const std::string& name : config::policy_names()) {
-    const sweep::AlgorithmSpec spec = config::policy_spec(name);
-    const std::string first = fingerprint(spec, p, 500.0, 0.3, 42);
-    const std::string second = fingerprint(spec, p, 500.0, 0.3, 42);
-    EXPECT_EQ(first, second) << spec.name << " replay diverged";
-    EXPECT_FALSE(first.empty());
+  const auto homogeneous = platform::StarPlatform::homogeneous(
+      {.workers = 8, .speed = 1.0, .bandwidth = 12.0, .comp_latency = 0.05,
+       .comm_latency = 0.02, .transfer_latency = 0.01});
+  // A lopsided platform exercises the heterogeneous code paths of every
+  // policy (per-worker fractions, weighted chunk sizing, resource order).
+  const platform::StarPlatform lopsided({
+      {2.0, 20.0, 0.05, 0.02, 0.01},
+      {1.0, 12.0, 0.05, 0.02, 0.01},
+      {0.5, 8.0, 0.05, 0.02, 0.01},
+      {1.5, 16.0, 0.05, 0.02, 0.01},
+  });
+  const struct {
+    const char* label;
+    const platform::StarPlatform& platform;
+    double w_total;
+    double error;
+    std::uint64_t seed;
+  } cases[] = {{"homogeneous-8", homogeneous, 500.0, 0.3, 42},
+               {"heterogeneous-4", lopsided, 400.0, 0.2, 7}};
+  for (const auto& c : cases) {
+    for (const std::string& name : config::policy_names()) {
+      const sweep::AlgorithmSpec spec = config::policy_spec(name);
+      const std::string first = fingerprint(spec, c.platform, c.w_total, c.error, c.seed);
+      const std::string second = fingerprint(spec, c.platform, c.w_total, c.error, c.seed);
+      EXPECT_EQ(first, second) << spec.name << " replay diverged on " << c.label;
+      EXPECT_FALSE(first.empty());
+    }
   }
 }
 

@@ -489,6 +489,28 @@ TEST(FaultSim, FaultyRunsReplayByteIdentical) {
   EXPECT_EQ(sim::to_chrome_tracing(a.trace), sim::to_chrome_tracing(b.trace));
 }
 
+TEST(FaultSim, TransientOutagesAuditCleanUnderRumrUmrAndFactoring) {
+  // The harshest point of the robustness study: MTBF 200 s, MTTR 20 s, on a
+  // Table 1-style platform. Every traced run completes and passes the span
+  // audit: no completion from a down worker, each lost chunk re-sent once.
+  const platform::StarPlatform platform = platform::StarPlatform::homogeneous(
+      {.workers = 10, .speed = 1.0, .bandwidth = 16.0, .comp_latency = 0.3,
+       .comm_latency = 0.3});
+  for (const char* name : {"rumr", "umr", "factoring"}) {
+    for (std::uint64_t rep = 0; rep < 2; ++rep) {
+      sim::SimOptions options =
+          sim::SimOptions::with_error(0.1, stats::mix_seed(0x0B057ULL, rep, 200000));
+      options.record_trace = true;
+      options.faults = faults::FaultSpec::transient(200.0, 20.0);
+      const auto policy = config::make_policy(name, platform, 1000.0, 0.1);
+      const sim::SimResult result = simulate(platform, *policy, options);
+      EXPECT_GT(result.faults.failures, 0u) << name;
+      const check::AuditReport audit = check::audit_run(result, platform, 1000.0, options);
+      EXPECT_TRUE(audit.ok()) << name << " rep " << rep << ": " << audit.summary();
+    }
+  }
+}
+
 TEST(FaultSim, EnabledButQuietFaultLayerMatchesBaseline) {
   const auto platform = uniform_platform(3);
 

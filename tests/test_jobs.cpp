@@ -365,23 +365,32 @@ TEST(RunJobs, LittlesLawHoldsExactly) {
 
 TEST(RunJobs, IdenticalSeedsReplayByteIdentically) {
   const platform::StarPlatform platform = test_platform(10);
-  const jobs::JobsOptions options =
-      poisson_options(platform, jobs::SharingPolicy::kFractional, 0.8);
-  const jobs::ServiceResult a = jobs::run_jobs(platform, options);
-  const jobs::ServiceResult b = jobs::run_jobs(platform, options);
-  EXPECT_EQ(report::jobs_csv(a), report::jobs_csv(b));
-  EXPECT_EQ(report::jobs_summary_json(a), report::jobs_summary_json(b));
+  for (const jobs::SharingPolicy sharing :
+       {jobs::SharingPolicy::kExclusive, jobs::SharingPolicy::kPartitioned,
+        jobs::SharingPolicy::kFractional}) {
+    const jobs::JobsOptions options = poisson_options(platform, sharing, 0.8);
+    const jobs::ServiceResult a = jobs::run_jobs(platform, options);
+    const jobs::ServiceResult b = jobs::run_jobs(platform, options);
+    EXPECT_EQ(report::jobs_csv(a), report::jobs_csv(b)) << jobs::to_string(sharing);
+    EXPECT_EQ(report::jobs_summary_json(a), report::jobs_summary_json(b))
+        << jobs::to_string(sharing);
+    expect_audit_clean(a, platform, options);
+  }
 }
 
 TEST(RunJobs, FaultInjectionFlowsThroughTheOracle) {
   const platform::StarPlatform platform = test_platform(10);
-  jobs::JobsOptions options = poisson_options(platform, jobs::SharingPolicy::kPartitioned, 0.5);
-  options.sim.faults = faults::FaultSpec::transient(400.0, 20.0);
-  const jobs::ServiceResult result = jobs::run_jobs(platform, options);
-  EXPECT_EQ(result.completed, result.arrived);
-  expect_audit_clean(result, platform, options);
-  // Failures stretch service beyond the fault-free bound, never shrink it.
-  EXPECT_GE(result.mean_slowdown(), 1.0);
+  for (const jobs::SharingPolicy sharing :
+       {jobs::SharingPolicy::kExclusive, jobs::SharingPolicy::kPartitioned,
+        jobs::SharingPolicy::kFractional}) {
+    jobs::JobsOptions options = poisson_options(platform, sharing, 0.5);
+    options.sim.faults = faults::FaultSpec::transient(400.0, 20.0);
+    const jobs::ServiceResult result = jobs::run_jobs(platform, options);
+    EXPECT_EQ(result.completed, result.arrived) << jobs::to_string(sharing);
+    expect_audit_clean(result, platform, options);
+    // Failures stretch service beyond the fault-free bound, never shrink it.
+    EXPECT_GE(result.mean_slowdown(), 1.0) << jobs::to_string(sharing);
+  }
 }
 
 TEST(RunJobs, RecordTraceMergesSegmentsAtGlobalCoordinates) {

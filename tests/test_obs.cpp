@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "baselines/factoring.hpp"
+#include "check/trace_audit.hpp"
 #include "core/rumr.hpp"
 #include "core/umr_policy.hpp"
 #include "obs/accumulators.hpp"
@@ -178,8 +180,10 @@ TEST(EngineProbe, AccountsUplinkOccupancyAndBlocking) {
 }
 
 // The audited identities on real runs: the engine-side bookkeeping must tile
-// the makespan exactly, whatever the scenario throws at it.
-void expect_identities(const sim::SimResult& result) {
+// the makespan exactly, whatever the scenario throws at it, and the run must
+// pass check::audit_run, which Run::execute() applies to every run.
+void expect_identities(const sim::SimResult& result, const platform::StarPlatform& p,
+                       double w_total, const sim::SimOptions& options) {
   const obs::RunMetrics& m = result.metrics;
   EXPECT_DOUBLE_EQ(m.makespan, result.makespan);
   EXPECT_NEAR(m.engine.uplink_busy_time + m.engine.uplink_idle_time, m.makespan, 1e-9);
@@ -191,13 +195,16 @@ void expect_identities(const sim::SimResult& result) {
   EXPECT_EQ(m.des.events_executed, result.events);
   EXPECT_GE(m.des.queue_depth_high_water, 1u);
   EXPECT_EQ(m.engine.chunk_sizes.total(), m.engine.dispatches);
+  const check::AuditReport audit = check::audit_run(result, p, w_total, options);
+  EXPECT_TRUE(audit.ok()) << audit.summary();
 }
 
 TEST(RunMetricsIdentities, HoldOnPerfectUmrRun) {
   const platform::StarPlatform p = test_platform();
   core::UmrPolicy policy(p, 500.0);
-  const sim::SimResult result = sim::simulate(p, policy, sim::SimOptions{});
-  expect_identities(result);
+  const sim::SimOptions options;
+  const sim::SimResult result = sim::simulate(p, policy, options);
+  expect_identities(result, p, 500.0, options);
   // Perfect predictions on a single channel: no blocking, no faults.
   EXPECT_DOUBLE_EQ(result.metrics.engine.hol_blocking_time, 0.0);
   EXPECT_EQ(result.metrics.faults.failures, 0u);
@@ -213,19 +220,42 @@ TEST(RunMetricsIdentities, HoldUnderErrorAndTightBuffers) {
   sim::SimOptions options = sim::SimOptions::with_error(0.5, 77);
   options.worker_buffer_capacity = 1;
   const sim::SimResult result = sim::simulate(p, policy, options);
-  expect_identities(result);
+  expect_identities(result, p, 500.0, options);
+}
+
+TEST(RunMetricsIdentities, HoldForRumrUnderThirtyPercentError) {
+  const platform::StarPlatform p = test_platform(10);
+  core::RumrPolicy policy(p, 1000.0, core::RumrOptions{.known_error = 0.3});
+  const sim::SimOptions options = sim::SimOptions::with_error(0.3, 12);
+  const sim::SimResult result = sim::simulate(p, policy, options);
+  expect_identities(result, p, 1000.0, options);
 }
 
 TEST(RunMetricsIdentities, HoldWithMultipleUplinkChannels) {
   const platform::StarPlatform p = test_platform();
-  core::UmrPolicy policy(p, 500.0);
-  sim::SimOptions options = sim::SimOptions::with_error(0.3, 5);
-  options.uplink_channels = 2;
+  core::UmrPolicy umr(p, 500.0);
+  baselines::FactoringPolicy factoring(500.0, p.size());
+  for (sim::SchedulerPolicy* policy : {static_cast<sim::SchedulerPolicy*>(&umr),
+                                       static_cast<sim::SchedulerPolicy*>(&factoring)}) {
+    SCOPED_TRACE(policy->name());
+    sim::SimOptions options = sim::SimOptions::with_error(0.3, 5);
+    options.uplink_channels = 2;
+    const sim::SimResult result = sim::simulate(p, *policy, options);
+    expect_identities(result, p, 500.0, options);
+    // With overlap, per-transfer totals can exceed occupancy time.
+    EXPECT_GE(result.metrics.engine.uplink_transfer_time,
+              result.metrics.engine.uplink_busy_time - 1e-9);
+  }
+}
+
+TEST(RunMetricsIdentities, HoldWithOutputData) {
+  // Each chunk sends 10% of its size back to the master over the downlink.
+  const platform::StarPlatform p = test_platform(10);
+  core::RumrPolicy policy(p, 1000.0, core::RumrOptions{.known_error = 0.2});
+  sim::SimOptions options = sim::SimOptions::with_error(0.2, 15);
+  options.output_ratio = 0.1;
   const sim::SimResult result = sim::simulate(p, policy, options);
-  expect_identities(result);
-  // With overlap, per-transfer totals can exceed occupancy time.
-  EXPECT_GE(result.metrics.engine.uplink_transfer_time,
-            result.metrics.engine.uplink_busy_time - 1e-9);
+  expect_identities(result, p, 1000.0, options);
 }
 
 TEST(RunMetricsIdentities, HoldUnderFaults) {
@@ -234,7 +264,7 @@ TEST(RunMetricsIdentities, HoldUnderFaults) {
   sim::SimOptions options = sim::SimOptions::with_error(0.2, 99);
   options.faults = faults::FaultSpec::transient(300.0, 30.0);
   const sim::SimResult result = sim::simulate(p, policy, options);
-  expect_identities(result);
+  expect_identities(result, p, 500.0, options);
   EXPECT_EQ(result.metrics.faults.failures, result.faults.failures);
   EXPECT_EQ(result.metrics.faults.chunks_redispatched, result.faults.chunks_redispatched);
   EXPECT_LE(result.metrics.faults.false_suspicions, result.metrics.faults.fencings);

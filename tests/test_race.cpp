@@ -13,8 +13,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -204,7 +206,8 @@ TEST(Race, SyntheticRaceByteIdenticalAcrossThreads) {
 }
 
 TEST(Race, EngineRaceByteIdenticalAcrossThreads) {
-  const sweep::SweepPlatform platform = sweep::SweepPlatform::from_config({6, 1.5, 0.1, 0.05});
+  const sweep::PlatformConfig config{6, 1.5, 0.1, 0.05};
+  const sweep::SweepPlatform platform = sweep::SweepPlatform::from_config(config);
   const std::vector<sweep::AlgorithmSpec> arms = {sweep::rumr_spec(), sweep::umr_spec(),
                                                   sweep::factoring_spec()};
   race::RaceOptions options;
@@ -217,6 +220,17 @@ TEST(Race, EngineRaceByteIdenticalAcrossThreads) {
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
     options.threads = threads;
     expect_same_race(race::race_cell(platform, arms, 0.3, options), reference);
+    // The rumr::Race facade passes its width through and nothing else.
+    expect_same_race(rumr::Race()
+                         .platform(config)
+                         .policies(arms)
+                         .error(0.3)
+                         .workload(200.0)
+                         .block(8)
+                         .budget(48)
+                         .threads(threads)
+                         .execute(),
+                     reference);
   }
 }
 
@@ -348,6 +362,29 @@ TEST(Race, SweepFacadeRaceMatchesRaceCell) {
   const race::RaceResult direct =
       race::race_cell(sweep::SweepPlatform::from_config(config), arms, 0.3, options);
   expect_same_race(cells.front().result, direct);
+}
+
+TEST(Race, UnbufferedSweepFacadeStreamsEveryCellExactlyOnce) {
+  std::map<std::pair<std::size_t, std::size_t>, int> seen;
+  rumr::Sweep sweep;
+  const std::vector<race::RaceCell> cells =
+      sweep.platforms(std::vector<sweep::PlatformConfig>{{6, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}})
+          .errors({0.1, 0.3})
+          .policies(std::vector<sweep::AlgorithmSpec>{sweep::rumr_spec(), sweep::umr_spec(),
+                                                      sweep::factoring_spec()})
+          .workload(200.0)
+          .race(0.05)
+          .reps(32)
+          .rep_block(8)
+          .threads(4)
+          .buffer(false)
+          .on_cell(race::RaceConsumer([&seen](const race::RaceCell& cell) {
+            ++seen[{cell.platform_index, cell.error_index}];
+          }))
+          .execute_race();
+  EXPECT_TRUE(cells.empty());
+  EXPECT_EQ(seen.size(), 4u);
+  for (const auto& [key, count] : seen) EXPECT_EQ(count, 1);
 }
 
 TEST(Race, SweepFacadeCatchesModeConflicts) {

@@ -559,6 +559,13 @@ TEST(ServeServer, WarmResponsesAreByteIdenticalToCold) {
   EXPECT_EQ(stats.solves, 3u);
   EXPECT_EQ(stats.plan_cache.hits, 3u);
   EXPECT_TRUE(check::audit_serve_stats(stats, /*drained=*/true).ok());
+
+  // The pass-through server evicts every plan it inserts.
+  const obs::ServeStats uncached_stats = uncached.stats();
+  EXPECT_EQ(uncached_stats.plan_cache.hits, 0u);
+  EXPECT_EQ(uncached_stats.plan_cache.entries, 0u);
+  EXPECT_EQ(uncached_stats.plan_cache.evictions, uncached_stats.plan_cache.insertions);
+  EXPECT_TRUE(check::audit_serve_stats(uncached_stats, /*drained=*/true).ok());
 }
 
 TEST(ServeServer, BatchFanOutWidthDoesNotChangeResponseBytes) {

@@ -143,6 +143,9 @@ TEST(ServeHandoffStress, MixedClientsGetColdBytesOrNamedRefusals) {
       EXPECT_EQ(stats.received, kClients * kRequestsEach) << policy;
       EXPECT_EQ(stats.protocol_errors, malformed.load()) << policy;
       EXPECT_EQ(stats.rejected + stats.shed, refused.load()) << policy;
+      // Each of the 2 * kBatches distinct queries is solved at most once,
+      // however many clients race for it.
+      EXPECT_LE(stats.solves, 2 * static_cast<std::size_t>(kBatches)) << policy;
       const check::AuditReport audit = check::audit_serve_stats(stats, /*drained=*/true);
       EXPECT_TRUE(audit.ok()) << policy << " session " << session << ": " << audit.summary();
     }

@@ -246,15 +246,20 @@ TEST(JobsSweep, StreamingModeMatchesRetainedAggregates) {
     retained[{cell.platform_index, cell.load_index, 0}] = cell;
   });
 
-  std::map<CellKey, sweep::JobsSweepCell> streamed;
+  // Streamed at any width, too.
   options.base.retain_jobs = false;
-  sweep::run_jobs_sweep(platforms, options, [&](const sweep::JobsSweepCell& cell) {
-    streamed[{cell.platform_index, cell.load_index, 0}] = cell;
-  });
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    std::map<CellKey, sweep::JobsSweepCell> streamed;
+    sweep::run_jobs_sweep(platforms, options, [&](const sweep::JobsSweepCell& cell) {
+      streamed[{cell.platform_index, cell.load_index, 0}] = cell;
+    });
 
-  ASSERT_EQ(streamed.size(), retained.size());
-  for (const auto& [key, cell] : retained) {
-    expect_jobs_cells_identical(streamed.at(key).stats, cell.stats);
+    ASSERT_EQ(streamed.size(), retained.size());
+    for (const auto& [key, cell] : retained) {
+      expect_jobs_cells_identical(streamed.at(key).stats, cell.stats);
+    }
   }
 }
 

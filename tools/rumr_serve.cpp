@@ -5,11 +5,6 @@
 //       Serve framed requests from stdin, framed responses to stdout, until
 //       EOF. This is the daemon proper: point a pipe or a socket relay
 //       (socat, systemd socket activation) at it.
-//   rumr_serve --self-test
-//       In-process loopback verification: cached-vs-cold byte identity,
-//       exactly-once solving under concurrent clients, admission control
-//       (reject and shed), the stream pump, and the full stats-ledger audit.
-//       Exits nonzero on any failure.
 //   rumr_serve --emit-demo-requests <file>
 //       Write the fixed demo session (ping, a batch, the identical batch
 //       again, a stats probe) as framed bytes, for piping into --stdio.
@@ -25,10 +20,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/rumr.hpp"
@@ -42,7 +35,6 @@ using rumr::serve::ServerOptions;
 int usage() {
   std::fprintf(stderr,
                "usage: rumr_serve --stdio [--config <file>]\n"
-               "       rumr_serve --self-test\n"
                "       rumr_serve --emit-demo-requests <file>\n"
                "       rumr_serve --verify-demo-responses <responses> <session-log>\n");
   return 2;
@@ -163,170 +155,6 @@ int verify_demo_responses(const std::string& path, const std::string& session_pa
   return 0;
 }
 
-// --- Self-test --------------------------------------------------------------
-
-int fail(const char* what) {
-  std::fprintf(stderr, "self-test FAILED: %s\n", what);
-  return 1;
-}
-
-int self_test() {
-  // 1. Cached-vs-cold byte identity, three ways: warm repeat on the same
-  //    server, a pass-through (capacity 0) server, and a serial server.
-  {
-    ServerOptions cached;
-    cached.threads = 2;
-    Server server(cached);
-    const std::string cold = server.handle(demo_batch_payload());
-    const std::string warm = server.handle(demo_batch_payload());
-    if (cold != warm) return fail("warm response != cold response on the same server");
-
-    ServerOptions pass_through;
-    pass_through.threads = 1;
-    pass_through.cache_capacity = 0;
-    Server uncached(pass_through);
-    if (uncached.handle(demo_batch_payload()) != cold) {
-      return fail("pass-through (uncached) response != cached response");
-    }
-    const rumr::obs::ServeStats stats = uncached.stats();
-    if (stats.plan_cache.hits != 0 || stats.plan_cache.entries != 0 ||
-        stats.plan_cache.evictions != stats.plan_cache.insertions) {
-      return fail("pass-through cache ledger should evict every insertion");
-    }
-    rumr::check::audit_serve_stats(server.stats()).throw_if_failed();
-    rumr::check::audit_serve_stats(stats).throw_if_failed();
-  }
-
-  // 2. Concurrent clients hammering overlapping keys: every distinct
-  //    canonical query must be solved exactly once (solves == misses ==
-  //    distinct keys), everything else served as hits.
-  {
-    ServerOptions options;
-    options.threads = 4;
-    options.queue_capacity = 256;
-    Server server(options);
-    constexpr int kClients = 8;
-    constexpr int kRequestsPerClient = 16;
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&server, c] {
-        for (int r = 0; r < kRequestsPerClient; ++r) {
-          // Seeds overlap across clients: 4 distinct queries in total.
-          const std::string payload = std::string(R"({"type":"batch","id":5,"queries":[)") +
-                                      R"({"workload":800,"algorithm":"rumr","seed":)" +
-                                      std::to_string((c + r) % 4) + "}]}";
-          (void)server.handle(payload);
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    server.wait_idle();
-    const rumr::obs::ServeStats stats = server.stats();
-    rumr::check::audit_serve_stats(stats).throw_if_failed();
-    if (stats.solves != 4) return fail("overlapping keys were not solved exactly once each");
-    if (stats.plan_cache.lookups != kClients * kRequestsPerClient) {
-      return fail("lookup count does not match the submitted query count");
-    }
-  }
-
-  // 3. Admission control. A slow request pins the single executor; filler
-  //    requests then overflow the bounded queue deterministically.
-  {
-    ServerOptions options;
-    options.threads = 1;
-    options.queue_capacity = 2;
-    options.admission = rumr::jobs::AdmissionPolicy::kRejectNew;
-    Server server(options);
-    // 256 distinct solves keep the executor busy well past the microseconds
-    // the fillers below need.
-    std::string slow = R"({"type":"batch","id":10,"queries":[)";
-    for (int i = 0; i < 256; ++i) {
-      if (i > 0) slow += ',';
-      slow += R"({"workload":1500,"algorithm":"rumr","error":0.3,"seed":)" + std::to_string(i) +
-              "}";
-    }
-    slow += "]}";
-    std::thread slow_client([&server, &slow] { (void)server.handle(slow); });
-    while (server.stats().admitted < 1) std::this_thread::yield();
-
-    auto f1 = server.submit(R"({"type":"batch","id":11,"queries":[{"workload":100}]})");
-    auto f2 = server.submit(R"({"type":"batch","id":12,"queries":[{"workload":101}]})");
-    auto f3 = server.submit(R"({"type":"batch","id":13,"queries":[{"workload":102}]})");
-    const std::string r3 = f3.get();
-    if (r3.find("\"type\":\"error\"") == std::string::npos ||
-        r3.find("rejected") == std::string::npos) {
-      return fail("third filler should have been rejected (queue full)");
-    }
-    if (f1.get().find("\"type\":\"result\"") == std::string::npos ||
-        f2.get().find("\"type\":\"result\"") == std::string::npos) {
-      return fail("queued fillers should have been served after the slow request");
-    }
-    slow_client.join();
-    server.wait_idle();
-    const rumr::obs::ServeStats stats = server.stats();
-    rumr::check::audit_serve_stats(stats).throw_if_failed();
-    if (stats.rejected != 1) return fail("expected exactly one rejected request");
-  }
-
-  // 4. Shed-oldest admission: the newest arrival displaces the longest
-  //    waiter, which gets a shed error response.
-  {
-    ServerOptions options;
-    options.threads = 1;
-    options.queue_capacity = 1;
-    options.admission = rumr::jobs::AdmissionPolicy::kShedOldest;
-    Server server(options);
-    std::string slow = R"({"type":"batch","id":20,"queries":[)";
-    for (int i = 0; i < 256; ++i) {
-      if (i > 0) slow += ',';
-      slow += R"({"workload":1500,"algorithm":"umr","error":0.3,"seed":)" + std::to_string(i) +
-              "}";
-    }
-    slow += "]}";
-    std::thread slow_client([&server, &slow] { (void)server.handle(slow); });
-    while (server.stats().admitted < 1) std::this_thread::yield();
-
-    auto f1 = server.submit(R"({"type":"batch","id":21,"queries":[{"workload":100}]})");
-    auto f2 = server.submit(R"({"type":"batch","id":22,"queries":[{"workload":101}]})");
-    const std::string r1 = f1.get();
-    if (r1.find("shed") == std::string::npos) {
-      return fail("oldest queued request should have been shed");
-    }
-    if (f2.get().find("\"type\":\"result\"") == std::string::npos) {
-      return fail("newest request should have been served after shedding");
-    }
-    slow_client.join();
-    server.wait_idle();
-    const rumr::obs::ServeStats stats = server.stats();
-    rumr::check::audit_serve_stats(stats).throw_if_failed();
-    if (stats.shed != 1) return fail("expected exactly one shed request");
-  }
-
-  // 5. The stream pump end to end through the facade, self-audited.
-  {
-    std::ostringstream request_bytes;
-    for (const std::string& payload : demo_request_payloads()) {
-      rumr::serve::write_frame(request_bytes, payload);
-    }
-    std::istringstream in(request_bytes.str());
-    std::ostringstream out;
-    const rumr::obs::ServeStats stats = rumr::Serve().threads(2).run(in, out);
-    if (stats.received != 4 || stats.completed != stats.admitted) {
-      return fail("stream session ledger is off");
-    }
-    std::istringstream responses(out.str());
-    std::vector<std::string> frames;
-    while (auto payload = rumr::serve::read_frame(responses)) frames.push_back(*payload);
-    if (frames.size() != 4 || frames[1] != frames[2]) {
-      return fail("stream responses should be 4 frames with warm == cold");
-    }
-  }
-
-  std::printf("rumr_serve --self-test: all checks passed\n");
-  return 0;
-}
-
 int run_stdio(const ServerOptions& options) {
   Server server(options);
   server.serve_stream(std::cin, std::cout);
@@ -345,7 +173,6 @@ int main(int argc, char** argv) {
   if (args.empty()) return usage();
 
   try {
-    if (args[0] == "--self-test" && args.size() == 1) return self_test();
     if (args[0] == "--emit-demo-requests" && args.size() == 2) return emit_demo_requests(args[1]);
     if (args[0] == "--verify-demo-responses" && args.size() == 3) {
       return verify_demo_responses(args[1], args[2]);
